@@ -225,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--max-iters", type=int, default=None)
     slv.add_argument("--krylov", choices=["cg", "gmres"], default="cg")
     slv.add_argument("--threads", type=int, default=None,
-                     help="subdomain task threads (env EDVS_THREADS as fallback)")
+                     help="accepted and echoed in the report config; selects no code path "
+                          "(env EDVS_THREADS as fallback)")
     slv.add_argument("--compare-direct", action="store_true")
     slv.add_argument("--primal", default="none",
                      help="primal selection: none, minmult=K, or file=PATH")

@@ -3,12 +3,11 @@
 The dual of an original operator acts on continuous derived vectors by
 retracting, applying the original matrix, and injecting back.  Splitting the
 matrix into per-subdomain slices (each entry assigned to exactly one shared
-subdomain) turns the middle step into independent local multiplies followed
-by one reduction over descendant groups.
+subdomain) turns the middle step into one block-diagonal multiply in derived
+order followed by one reduction over descendant groups.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,39 @@ from .derived import (
 )
 from .exceptions import ContinuityError, IncompleteExchangeError, LocalityError
 from .ingest import DecompositionMap, OriginalMatrix
+
+
+@dataclass(frozen=True, eq=False)
+class InterfaceBlocks:
+    """The 2x2 interior/interface blocks of an original matrix.
+
+    Rows and columns follow the sorted interior nodes, then the sorted
+    interface nodes, d scalar entries per node.  Under locality `ii` is
+    block-diagonal by subdomain; it is stored as CSC for `splu`.
+    """
+
+    interior_flat: np.ndarray   # original flat indices of the interior rows
+    gamma_flat: np.ndarray      # original flat indices of the interface rows
+    ii: sp.csc_matrix
+    ig: sp.csr_matrix
+    gi: sp.csr_matrix
+    gg: sp.csr_matrix
+
+
+def interface_blocks(matrix: OriginalMatrix, dm: DecompositionMap) -> InterfaceBlocks:
+    """Slice A_II, A_IG, A_GI and A_GG once, in sorted interior / interface order."""
+    d = matrix.block_dim
+    i_flat = flat_block_indices(dm.interior_nodes, d)
+    g_flat = flat_block_indices(dm.interface_nodes, d)
+    csr = matrix.csr
+    return InterfaceBlocks(
+        interior_flat=i_flat,
+        gamma_flat=g_flat,
+        ii=csr[np.ix_(i_flat, i_flat)].tocsc(),
+        ig=csr[np.ix_(i_flat, g_flat)].tocsr(),
+        gi=csr[np.ix_(g_flat, i_flat)].tocsr(),
+        gg=csr[np.ix_(g_flat, g_flat)].tocsr(),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,11 +91,10 @@ def split_by_subdomain(matrix: OriginalMatrix, dm: DecompositionMap) -> list[Sub
 
     slices = []
     for a in range(dm.n_subdomains):
-        nodes = dm.subdomain_nodes[a]
-        local_rank = {int(p): i for i, p in enumerate(nodes)}
+        nodes = dm.subdomain_nodes[a]  # sorted, so a node's local rank is a binary search
         mask = owner == a
-        rows = np.array([local_rank[int(p)] for p in p_nodes[mask]], dtype=np.int64)
-        cols = np.array([local_rank[int(q)] for q in q_nodes[mask]], dtype=np.int64)
+        rows = np.searchsorted(nodes, p_nodes[mask])
+        cols = np.searchsorted(nodes, q_nodes[mask])
         local_rows = rows * d + coo.row[mask] % d
         local_cols = cols * d + coo.col[mask] % d
         size = len(nodes) * d
@@ -80,14 +111,22 @@ class DualOperator:
     """Apply the dual of an original matrix through per-subdomain local slices."""
 
     space: DerivedSpace
-    slices: tuple[SubdomainSlice, ...]
-    gather_flat: tuple[np.ndarray, ...]   # per slice: original flat indices of its nodes
-    mult_flat: tuple[np.ndarray, ...]     # per slice: m(p) per local flat row
-    # global 2x2 interior/interface blocks in sorted interior / interface node order
-    block_ii: sp.csr_matrix
-    block_ig: sp.csr_matrix
-    block_gi: sp.csr_matrix
-    block_gg: sp.csr_matrix
+    # the slices stacked block-diagonally in derived order: their gathers
+    # concatenate to exactly `space.origin_flat`
+    local: sp.csr_matrix
+    mult_flat: np.ndarray    # m(p) per derived flat row
+    blocks: InterfaceBlocks
+
+    @property
+    def slices(self) -> tuple[SubdomainSlice, ...]:
+        """The per-subdomain slices, cut back out of the block-diagonal `local`."""
+        d = self.space.block_dim
+        nodes = self.space.decomposition.subdomain_nodes
+        return tuple(
+            SubdomainSlice(subdomain=a, nodes=nodes[a],
+                           matrix=self.local[start * d:stop * d, start * d:stop * d])
+            for a, (start, stop) in enumerate(self.space.subdomain_ranges)
+        )
 
 
 def build_dual_operator(matrix: OriginalMatrix, ds: DerivedSpace) -> DualOperator:
@@ -95,24 +134,13 @@ def build_dual_operator(matrix: OriginalMatrix, ds: DerivedSpace) -> DualOperato
     d = matrix.block_dim
     if d != ds.block_dim:
         raise ValueError(f"matrix block_dim {d} does not match derived space {ds.block_dim}")
-    slices = split_by_subdomain(matrix, dm)
-    gather = []
-    mult = []
-    for s in slices:
-        gather.append(flat_block_indices(s.nodes, d))
-        mult.append(np.repeat(dm.multiplicity[s.nodes].astype(np.float64), d))
-    i_flat = flat_block_indices(dm.interior_nodes, d)
-    g_flat = flat_block_indices(dm.interface_nodes, d)
-    csr = matrix.csr
+    # the slices are freed before the 2x2 blocks are cut: this keeps peak memory down
+    local = sp.block_diag([s.matrix for s in split_by_subdomain(matrix, dm)], format="csr")
     return DualOperator(
         space=ds,
-        slices=tuple(slices),
-        gather_flat=tuple(gather),
-        mult_flat=tuple(mult),
-        block_ii=csr[np.ix_(i_flat, i_flat)].tocsr(),
-        block_ig=csr[np.ix_(i_flat, g_flat)].tocsr(),
-        block_gi=csr[np.ix_(g_flat, i_flat)].tocsr(),
-        block_gg=csr[np.ix_(g_flat, g_flat)].tocsr(),
+        local=local,
+        mult_flat=np.repeat(dm.multiplicity[ds.node_of].astype(np.float64), d),
+        blocks=interface_blocks(matrix, dm),
     )
 
 
@@ -151,8 +179,9 @@ def apply_dual(
 
     Non-continuous input raises ContinuityError unless `project=True`, which
     first replaces u by its continuous part.  The local products are scaled by
-    row multiplicity before the averaging exchange so that descendant groups
-    accumulate the plain sum of slice contributions.
+    row multiplicity before the averaging so that descendant groups
+    accumulate the plain sum of slice contributions.  `threads` is accepted
+    for compatibility and selects nothing: the product is one sparse call.
     """
     ds = op.space
     if u.shape != (ds.derived_flat_size,):
@@ -166,17 +195,7 @@ def apply_dual(
             )
         u = project_continuous(u, ds)
     u_hat = retract(u, ds)
-
-    def local_product(a):
-        return op.mult_flat[a] * (op.slices[a].matrix @ u_hat[op.gather_flat[a]])
-
-    n_sub = len(op.slices)
-    if threads > 1 and n_sub > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(local_product, range(n_sub)))
-    else:
-        partials = [local_product(a) for a in range(n_sub)]
-    return exchange(partials, ds)
+    return project_continuous(op.mult_flat * (op.local @ u_hat[ds.origin_flat]), ds)
 
 
 def apply_block(op: DualOperator, block: str, v: np.ndarray) -> np.ndarray:
@@ -203,19 +222,19 @@ def apply_block(op: DualOperator, block: str, v: np.ndarray) -> np.ndarray:
     if block == "II":
         if v.shape != (n_i,):
             raise ValueError(f"block II expects length {n_i}, got {v.shape}")
-        return original_to_interior(op.block_ii @ interior_to_original(v))
+        return original_to_interior(op.blocks.ii @ interior_to_original(v))
     if block == "IG":
         if v.shape != (n_g,):
             raise ValueError(f"block IG expects length {n_g}, got {v.shape}")
-        return original_to_interior(op.block_ig @ retract_interface(v, ds))
+        return original_to_interior(op.blocks.ig @ retract_interface(v, ds))
     if block == "GI":
         if v.shape != (n_i,):
             raise ValueError(f"block GI expects length {n_i}, got {v.shape}")
-        return inject_interface(op.block_gi @ interior_to_original(v), ds)
+        return inject_interface(op.blocks.gi @ interior_to_original(v), ds)
     if block == "GG":
         if v.shape != (n_g,):
             raise ValueError(f"block GG expects length {n_g}, got {v.shape}")
-        return inject_interface(op.block_gg @ retract_interface(v, ds), ds)
+        return inject_interface(op.blocks.gg @ retract_interface(v, ds), ds)
     raise ValueError(f"unknown block {block!r}; expected II, IG, GI or GG")
 
 
@@ -225,7 +244,8 @@ def slices_sum(op: DualOperator) -> sp.csr_matrix:
     d = ds.block_dim
     n = ds.original_flat_size
     total = sp.csr_matrix((n, n))
-    for s, gat in zip(op.slices, op.gather_flat):
+    for s in op.slices:
+        gat = flat_block_indices(s.nodes, d)
         coo = s.matrix.tocoo()
         total = total + sp.coo_matrix(
             (coo.data, (gat[coo.row], gat[coo.col])), shape=(n, n)

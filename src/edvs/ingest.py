@@ -125,6 +125,14 @@ class ProblemInstance:
                 f"partition covers {self.decomposition.n_nodes} nodes, "
                 f"matrix has {self.matrix.n_nodes}"
             )
+        # a NaN or Inf would otherwise surface only after the whole Krylov budget
+        if not np.all(np.isfinite(self.matrix.csr.data)):
+            raise MatrixFormatError("matrix has non-finite (NaN or Inf) entries")
+        bad = np.flatnonzero(~np.isfinite(self.rhs))
+        if bad.size:
+            raise MatrixFormatError(
+                f"rhs has {bad.size} non-finite (NaN or Inf) entries, the first at index {bad[0]}"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,15 @@
 """End-to-end solve: block-diagonal interior factorization, projected interface Krylov.
 
-Pipeline: inject the right-hand side, factor each subdomain's interior block
-independently, run a conjugate-gradient (or restarted GMRES) iteration on the
-continuous interface subspace under the weighted inner product, back-substitute
-the interior values per subdomain, and certify the retracted solution against
-the original system.
+Pipeline: inject the right-hand side, factor the interior block A_II (exactly
+block-diagonal by subdomain under locality) with one sparse LU, run a
+conjugate-gradient (or restarted GMRES) iteration on the continuous interface
+subspace under the weighted inner product, back-substitute the interior
+values, and certify the retracted solution against the original system.
 """
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -31,13 +30,14 @@ from .derived import (
     retract,
     retract_interface,
 )
+from .dual import InterfaceBlocks, interface_blocks
 from .exceptions import (
     ConfigError,
     ConvergenceError,
     EdvsError,
     SingularInteriorError,
 )
-from .ingest import OriginalMatrix, ProblemInstance, require_locality
+from .ingest import DecompositionMap, OriginalMatrix, ProblemInstance, require_locality
 
 _REPORT_KEYS = (
     "iterations",
@@ -61,7 +61,7 @@ class SolveConfig:
     tol: float = 1e-10
     max_iters: int | None = None
     krylov: str = "cg"
-    threads: int | None = None
+    threads: int | None = None   # validated and echoed in the report; selects no code path
     compare_direct: bool = False
     primal_min_multiplicity: int | None = None
     primal_nodes: tuple[int, ...] | None = None
@@ -104,63 +104,79 @@ class SolveReport:
 
 @dataclass(frozen=True, eq=False)
 class InteriorBlock:
-    """One subdomain's interior diagonal block, factored once and reused."""
+    """One subdomain's interior diagonal block: a view over the fused interior factor."""
 
     subdomain: int
     nodes: np.ndarray            # interior nodes owned by this subdomain, sorted
-    lu: object | None            # None when the subdomain has no interior nodes
+    offsets: np.ndarray          # flat positions of those nodes in the sorted interior order
+    lu: object | None            # the factor of all of A_II; None when it is empty
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self.lu is None:
+        """Solve this block alone: A_II is block-diagonal, so the other blocks read zero."""
+        if len(self.offsets) == 0:
             return np.zeros(0)
-        return self.lu.solve(rhs)
+        full = np.zeros(self.lu.shape[0])
+        full[self.offsets] = rhs
+        return self.lu.solve(full)[self.offsets]
 
 
 @dataclass(frozen=True, eq=False)
 class InteriorFactorization:
-    blocks: tuple[InteriorBlock, ...]
+    """One sparse LU of the whole interior block A_II, with per-subdomain views."""
+
+    decomposition: DecompositionMap
+    block_dim: int
+    lu: object | None            # None when there are no interior nodes
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve A_II x = rhs over all interior entries, in sorted interior order."""
+        if self.lu is None:
+            return np.zeros(0)
+        return self.lu.solve(rhs)
+
+    @property
+    def blocks(self) -> tuple[InteriorBlock, ...]:
+        d = self.block_dim
+        return tuple(
+            InteriorBlock(subdomain=a, nodes=nodes, offsets=offsets, lu=self.lu)
+            for a, (nodes, offsets) in enumerate(_interior_by_subdomain(self.decomposition, d))
+        )
 
 
-def _interior_nodes_by_subdomain(dm) -> list[np.ndarray]:
-    groups = [[] for _ in range(dm.n_subdomains)]
-    for p in dm.interior_nodes:
-        groups[dm.memberships[p][0]].append(int(p))
-    return [np.array(g, dtype=np.int64) for g in groups]
+def _interior_by_subdomain(dm: DecompositionMap, d: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per subdomain: its sorted interior nodes and their flat positions in A_II."""
+    groups = []
+    for nodes in dm.subdomain_nodes:
+        own = nodes[dm.multiplicity[nodes] == 1]
+        groups.append((own, flat_block_indices(np.searchsorted(dm.interior_nodes, own), d)))
+    return groups
 
 
-def _run_per_subdomain(fn, count: int, threads: int) -> list:
-    """Run fn(a) for a in range(count); results in subdomain order regardless of threads."""
-    if threads > 1 and count > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(count)))
-    return [fn(a) for a in range(count)]
+def factor_interior(matrix: OriginalMatrix, dm: DecompositionMap,
+                    block_ii: sp.spmatrix | None = None) -> InteriorFactorization:
+    """Factor the interior block A_II with a single sparse LU.
 
-
-def factor_interior(matrix: OriginalMatrix, dm, threads: int = 1) -> InteriorFactorization:
-    """Factor each subdomain's interior block independently (sparse LU).
-
-    Assumes locality has been validated, which makes the interior-interior
-    block exactly block-diagonal across subdomains.
+    Assumes locality has been validated, which makes A_II exactly
+    block-diagonal across subdomains, so the fill stays inside the blocks.
+    `block_ii` is A_II when the caller has already sliced it.  When A_II is
+    singular, the blocks are factored one at a time to name the subdomain.
     """
     d = matrix.block_dim
-    csc = matrix.csr.tocsc()
-    groups = _interior_nodes_by_subdomain(dm)
-
-    def factor_one(a):
-        nodes = groups[a]
-        if len(nodes) == 0:
-            return InteriorBlock(subdomain=a, nodes=nodes, lu=None)
-        idx = flat_block_indices(nodes, d)
-        block = csc[np.ix_(idx, idx)].tocsc()
-        try:
-            lu = spla.splu(block)
-        except RuntimeError as e:
-            raise SingularInteriorError(a, f"interior block of subdomain {a}: {e}")
-        return InteriorBlock(subdomain=a, nodes=nodes, lu=lu)
-
-    return InteriorFactorization(
-        blocks=tuple(_run_per_subdomain(factor_one, dm.n_subdomains, threads))
-    )
+    csc = (interface_blocks(matrix, dm).ii if block_ii is None else block_ii).tocsc()
+    if csc.shape[0] == 0:
+        return InteriorFactorization(decomposition=dm, block_dim=d, lu=None)
+    try:
+        lu = spla.splu(csc)
+    except RuntimeError as fused_error:
+        for a, (_, offsets) in enumerate(_interior_by_subdomain(dm, d)):
+            if len(offsets) == 0:
+                continue
+            try:
+                spla.splu(csc[np.ix_(offsets, offsets)].tocsc())
+            except RuntimeError as e:
+                raise SingularInteriorError(a, f"interior block of subdomain {a}: {e}") from e
+        raise SingularInteriorError(None, f"interior block A_II: {fused_error}") from fused_error
+    return InteriorFactorization(decomposition=dm, block_dim=d, lu=lu)
 
 
 def assemble_dual_rhs(f_hat: np.ndarray, ds: DerivedSpace) -> np.ndarray:
@@ -174,18 +190,14 @@ class SolverState:
 
     problem: ProblemInstance
     space: DerivedSpace
-    coupling_ig: tuple          # per subdomain: A[I_a, Gamma] (interior rows)
-    coupling_gi: tuple          # per subdomain: A[Gamma, I_a]
-    block_gg: sp.csr_matrix     # A[Gamma, Gamma]
-    interior_flat: tuple        # per subdomain: flat indices of its interior nodes
-    interior_offsets: tuple     # per subdomain: positions within the sorted interior set
-    threads: int = 1
+    blocks: InterfaceBlocks     # A_II, A_IG, A_GI, A_GG in sorted interior / interface order
+    threads: int = 1            # echoed in the report; selects no code path
     interior: InteriorFactorization | None = None
     continuity_projections: int = 0
 
 
 def _build_state(problem: ProblemInstance, cfg: SolveConfig) -> SolverState:
-    """Validate locality, build the derived space, and slice the coupling blocks."""
+    """Validate locality, build the derived space, and slice the 2x2 blocks."""
     matrix, dm = problem.matrix, problem.decomposition
     require_locality(matrix, dm)
     ds = build_derived_space(
@@ -194,92 +206,62 @@ def _build_state(problem: ProblemInstance, cfg: SolveConfig) -> SolverState:
         primal_min_multiplicity=cfg.primal_min_multiplicity,
         primal_nodes=cfg.primal_nodes,
     )
-    d = matrix.block_dim
-    csr = matrix.csr
-    g_flat = flat_block_indices(dm.interface_nodes, d)
-    groups = _interior_nodes_by_subdomain(dm)
-    coupling_ig, coupling_gi, interior_flat, interior_offsets = [], [], [], []
-    for nodes in groups:
-        idx = flat_block_indices(nodes, d)
-        coupling_ig.append(csr[np.ix_(idx, g_flat)].tocsr())
-        coupling_gi.append(csr[np.ix_(g_flat, idx)].tocsr())
-        interior_flat.append(idx)
-        ranks = np.searchsorted(dm.interior_nodes, nodes)
-        interior_offsets.append(flat_block_indices(ranks, d))
     threads = cfg.threads if cfg.threads is not None else min(
         os.cpu_count() or 1, max(dm.n_subdomains, 1)
     )
     return SolverState(
         problem=problem,
         space=ds,
-        coupling_ig=tuple(coupling_ig),
-        coupling_gi=tuple(coupling_gi),
-        block_gg=csr[np.ix_(g_flat, g_flat)].tocsr(),
-        interior_flat=tuple(interior_flat),
-        interior_offsets=tuple(interior_offsets),
+        blocks=interface_blocks(matrix, dm),
         threads=threads,
     )
 
 
+def _factor(state: SolverState) -> InteriorFactorization:
+    problem = state.problem
+    return factor_interior(problem.matrix, problem.decomposition, block_ii=state.blocks.ii)
+
+
 def setup_solver(problem: ProblemInstance, cfg: SolveConfig | None = None) -> SolverState:
-    """One-call setup: state plus factored interior blocks."""
+    """One-call setup: state plus the factored interior block."""
     cfg = cfg or SolveConfig()
     state = _build_state(problem, cfg)
-    state.interior = factor_interior(
-        problem.matrix, problem.decomposition, threads=state.threads
-    )
+    state.interior = _factor(state)
     return state
 
 
 def apply_interface_operator(state: SolverState, v_gamma: np.ndarray) -> np.ndarray:
     """Apply the interface Schur operator to a continuous interface vector.
 
-    Retract to interface-node values, eliminate the interior through the
-    per-subdomain factorizations (independent tasks), recombine, and inject
-    back.  Input that has drifted off the continuous subspace is projected
-    (the retraction is the averaging) and counted on the state.
+    Retract to interface-node values v, compute A_GG v - A_GI A_II^-1 A_IG v
+    with the one interior factorization, and inject back.  Input that has
+    drifted off the continuous subspace is projected (the retraction is the
+    averaging) and counted on the state.
     """
     ds = state.space
-    projected = project_continuous_interface(v_gamma, ds)
-    drift = float(np.linalg.norm(v_gamma - projected))
+    b = state.blocks
+    v_hat = retract_interface(v_gamma, ds)
+    drift = float(np.linalg.norm(v_gamma - inject_interface(v_hat, ds)))
     if drift > 1e-12 * max(float(np.linalg.norm(v_gamma)), 1.0):
         state.continuity_projections += 1
-    v_hat = retract_interface(v_gamma, ds)
-
-    def eliminate(a):
-        if len(state.interior_flat[a]) == 0:
-            return None
-        t = state.coupling_ig[a] @ v_hat
-        w = state.interior.blocks[a].solve(t)
-        return state.coupling_gi[a] @ w
-
-    parts = _run_per_subdomain(eliminate, len(state.interior.blocks), state.threads)
-    y_hat = state.block_gg @ v_hat
-    for part in parts:  # fixed subdomain order: deterministic reduction
-        if part is not None:
-            y_hat = y_hat - part
+    y_hat = b.gg @ v_hat - b.gi @ state.interior.solve(b.ig @ v_hat)
     return inject_interface(y_hat, ds)
 
 
 def interface_rhs(state: SolverState) -> np.ndarray:
     """Condensed interface right-hand side as a continuous interface vector."""
-    ds = state.space
-    d = ds.block_dim
-    f_hat = state.problem.rhs
-    g_flat = flat_block_indices(ds.gamma_nodes, d)
-    g_hat = f_hat[g_flat].astype(np.float64)
+    b = state.blocks
+    f_hat = state.problem.rhs.astype(np.float64)
+    g_hat = f_hat[b.gamma_flat] - b.gi @ state.interior.solve(f_hat[b.interior_flat])
+    return inject_interface(g_hat, state.space)
 
-    def eliminate(a):
-        if len(state.interior_flat[a]) == 0:
-            return None
-        w = state.interior.blocks[a].solve(f_hat[state.interior_flat[a]])
-        return state.coupling_gi[a] @ w
 
-    parts = _run_per_subdomain(eliminate, len(state.interior.blocks), state.threads)
-    for part in parts:
-        if part is not None:
-            g_hat = g_hat - part
-    return inject_interface(g_hat, ds)
+def _cg_breakdown(k, reason, history, best) -> ConvergenceError:
+    return ConvergenceError(
+        f"cg breakdown at iteration {k}: {reason}; use krylov='gmres'",
+        residual_history=history,
+        best=best,
+    )
 
 
 def _cg(apply_op, g, ip, reproject, tol, max_iters):
@@ -294,10 +276,16 @@ def _cg(apply_op, g, ip, reproject, tol, max_iters):
     history = []
     for k in range(1, max_iters + 1):
         q = apply_op(p)
-        alpha = rr / ip(p, q)
-        x = reproject(x + alpha * p)
+        pq = ip(p, q)
+        if not pq > 0.0:
+            raise _cg_breakdown(k, f"p'Ap = {pq:.3e} <= 0: the interface operator is not "
+                                   "positive definite", history, x)
+        alpha = rr / pq
         r = reproject(r - alpha * q)
         rr_new = ip(r, r)
+        if not np.isfinite(rr_new):
+            raise _cg_breakdown(k, f"squared residual norm is {rr_new}", history, x)
+        x = reproject(x + alpha * p)
         rel = np.sqrt(max(rr_new, 0.0)) / g_norm
         history.append(float(rel))
         if rel <= tol:
@@ -404,31 +392,17 @@ def solve_interface(state: SolverState, g_gamma: np.ndarray, cfg: SolveConfig):
 
 
 def back_substitute(state: SolverState, u_gamma: np.ndarray) -> np.ndarray:
-    """Recover interior values by independent per-subdomain solves.
+    """Recover interior values with one solve of the interior factorization.
 
     Returns the interior original vector (sorted interior nodes, flat); the
     matching derived values are identical since interior multiplicities are 1.
     """
     ds = state.space
-    d = ds.block_dim
-    f_hat = state.problem.rhs
-    out = np.zeros(len(ds.interior_nodes) * d)
-    v_hat = retract_interface(u_gamma, ds) if len(ds.gamma_nodes) else np.zeros(0)
-
-    def solve_one(a):
-        idx = state.interior_flat[a]
-        if len(idx) == 0:
-            return None
-        rhs = f_hat[idx].astype(np.float64)
-        if v_hat.size:
-            rhs = rhs - state.coupling_ig[a] @ v_hat
-        return state.interior.blocks[a].solve(rhs)
-
-    parts = _run_per_subdomain(solve_one, len(state.interior.blocks), state.threads)
-    for a, part in enumerate(parts):
-        if part is not None:
-            out[state.interior_offsets[a]] = part
-    return out
+    b = state.blocks
+    rhs = state.problem.rhs[b.interior_flat].astype(np.float64)
+    if len(ds.gamma_nodes):
+        rhs = rhs - b.ig @ retract_interface(u_gamma, ds)
+    return state.interior.solve(rhs)
 
 
 def assemble_solution(state: SolverState, u_interior: np.ndarray, u_gamma: np.ndarray) -> np.ndarray:
@@ -506,9 +480,7 @@ def solve_dvs(problem: ProblemInstance, cfg: SolveConfig | None = None):
         )
 
     with _phase("factor", report.timings):
-        state.interior = factor_interior(
-            problem.matrix, problem.decomposition, threads=state.threads
-        )
+        state.interior = _factor(state)
 
     interface_failure = None
     u_gamma = np.zeros(len(ds.gamma_positions) * ds.block_dim)

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import strategies as st
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
@@ -32,6 +34,40 @@ def make_problem_2d(nx, ny, bx, by, rhs=None):
     if rhs is None:
         rhs = np.ones(nx * ny)
     return ingest.ProblemInstance(matrix=matrix, rhs=np.asarray(rhs, float), decomposition=dm)
+
+
+@st.composite
+def local_problems(draw):
+    """Random SPD problems on non-box partitions that satisfy locality.
+
+    Four subdomains.  Node 0 lies in subdomains 0, 1 and 2 (multiplicity 3).
+    Every other node has a home subdomain in 0..2 and up to two extra
+    memberships; subdomain 3 is only ever an extra one, so it owns no
+    interior node.  Each node pair sharing a subdomain is coupled with
+    probability 1/2 by a random d x d block; the matrix is symmetric and
+    strictly diagonally dominant, hence SPD.
+    """
+    d = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(6, 14))
+    memberships = [{0, 1, 2}]
+    for _ in range(1, n):
+        home = draw(st.integers(0, 2))
+        memberships.append({home} | draw(st.sets(st.integers(0, 3), max_size=2)))
+    memberships[1].add(3)
+    dm = ingest.DecompositionMap.from_memberships(memberships, n_subdomains=4)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = np.zeros((n * d, n * d))
+    for p in range(n):
+        for q in range(p, n):
+            if (p == q or memberships[p] & memberships[q]) and rng.random() < 0.5:
+                block = rng.standard_normal((d, d))
+                dense[p * d:(p + 1) * d, q * d:(q + 1) * d] = block
+                dense[q * d:(q + 1) * d, p * d:(p + 1) * d] = block.T
+    dense = (dense + dense.T) / 2
+    dense += np.diag(np.abs(dense).sum(axis=1) + 1.0)
+    matrix = ingest.OriginalMatrix(csr=sp.csr_matrix(dense), block_dim=d, symmetric=True)
+    rhs = rng.standard_normal(n * d)
+    return ingest.ProblemInstance(matrix=matrix, rhs=rhs, decomposition=dm)
 
 
 @pytest.fixture

@@ -128,6 +128,16 @@ class TestSolve:
         assert not report["converged"]
         assert len(report["residual_history"]) == 1
 
+    def test_non_finite_rhs_exit_1_before_solving(self, generated_1d):
+        (generated_1d / "nan.rhs").write_text("0\n0\nnan\n0\n0\n")
+        result = run_cli(
+            ["solve", "--matrix", "p1.mtx", "--partition", "p1.part", "--rhs", "nan.rhs"],
+            cwd=generated_1d,
+        )
+        assert result.returncode == 1
+        assert "non-finite" in result.stderr
+        assert result.stdout.strip() == ""  # no report: no solve phase ran
+
     def test_bad_krylov_flag_exit_2_usage(self, generated_1d):
         result = run_cli(
             ["solve", "--matrix", "p1.mtx", "--partition", "p1.part",

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
 
+from conftest import local_problems
 from edvs.derived import (
     build_derived_space,
     inject,
     norm_derived,
     project_zero_average,
+    retract,
 )
 from edvs.dual import (
     apply_block,
@@ -117,6 +120,19 @@ class TestApplyDual:
         half = inject(np.array([0.0, 0, 0.5, 0, 0]), op_1d5.space)
         assert np.allclose(apply_dual(op_1d5, bad, project=True),
                            apply_dual(op_1d5, half), atol=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=local_problems())
+    def test_matches_matvec_with_multiplicity_3(self, problem):
+        ds = build_derived_space(problem.decomposition, block_dim=problem.matrix.block_dim)
+        assert ds.decomposition.multiplicity.max() >= 3
+        op = build_dual_operator(problem.matrix, ds)
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            u = inject(rng.standard_normal(ds.original_flat_size), ds)
+            want = inject(problem.matrix.csr @ retract(u, ds), ds)
+            got = apply_dual(op, u)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_thread_count_bit_exact(self, problem_2d, rng):
         _, _, ds, op = problem_2d

@@ -264,6 +264,21 @@ class TestGenerators:
         assert np.array_equal(ingest.load_vector(path), v)
 
 
+class TestProblemInstance:
+    @pytest.mark.parametrize("where", ["rhs", "matrix"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, where, bad):
+        matrix = ingest.generate_poisson_1d(5)
+        rhs = np.ones(5)
+        if where == "rhs":
+            rhs[3] = bad
+        else:
+            matrix.csr.data[0] = bad
+        dm = ingest.generate_box_partition(5, 1, 2, 1)
+        with pytest.raises(MatrixFormatError, match="non-finite"):
+            ingest.ProblemInstance(matrix=matrix, rhs=rhs, decomposition=dm)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     memberships=st.lists(

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
 
-from conftest import make_problem_1d, make_problem_2d
+from conftest import local_problems, make_problem_1d, make_problem_2d
 from edvs.derived import (
+    flat_block_indices,
     inject,
     inject_interface,
     inner_interface,
@@ -45,9 +47,10 @@ def state_2d55():
 def dense_interface_operator(problem):
     """Oracle: the interface Schur complement assembled densely on interface nodes."""
     dm = problem.decomposition
+    d = problem.matrix.block_dim
     a = problem.matrix.csr.toarray()
-    m_set = tuple(int(p) for p in dm.interior_nodes)
-    n_set = tuple(int(p) for p in dm.interface_nodes)
+    m_set = tuple(int(i) for i in flat_block_indices(dm.interior_nodes, d))
+    n_set = tuple(int(i) for i in flat_block_indices(dm.interface_nodes, d))
     return schur_complement(a, IndexSplit(m_set=m_set, n_set=n_set))
 
 
@@ -96,6 +99,18 @@ class TestFactorInterior:
             factor_interior(matrix, dm)
         assert err.value.subdomain == 0
 
+    def test_singular_second_block_names_subdomain_1(self):
+        # the fused factorization fails; factoring block by block names the culprit
+        bad = sp.lil_matrix((5, 5))
+        for k in (0, 1, 2):
+            bad[k, k] = 2.0
+        bad[3, 3] = bad[3, 4] = bad[4, 3] = bad[4, 4] = 1.0  # singular 2x2 interior
+        matrix = OriginalMatrix(csr=bad.tocsr(), symmetric=False)
+        dm = DecompositionMap.from_memberships([(0,), (0,), (0, 1), (1,), (1,)])
+        with pytest.raises(SingularInteriorError) as err:
+            factor_interior(matrix, dm)
+        assert err.value.subdomain == 1
+
 
 class TestInterfaceOperator:
     def test_continuous_pair_gives_schur_value(self, state_1d5):
@@ -125,6 +140,21 @@ class TestInterfaceOperator:
             v_sw = inner_interface(v, apply_interface_operator(state_2d55, w), ds)
             scale = np.linalg.norm(v) * np.linalg.norm(w)
             assert abs(sv_w - v_sw) <= 1e-12 * max(scale, 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=local_problems())
+    def test_agrees_with_dense_oracle_on_random_partitions(self, problem):
+        # multiplicity-3 nodes, a subdomain without interior, block_dim 1 and 2
+        state = setup_solver(problem, SolveConfig())
+        ds = state.space
+        sigma = dense_interface_operator(problem)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            v_hat = rng.standard_normal(len(ds.gamma_nodes) * ds.block_dim)
+            v = inject_interface(v_hat, ds)
+            got = apply_interface_operator(state, v)
+            want = inject_interface(sigma @ v_hat, ds)
+            assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1.0)
 
     def test_drift_is_projected_and_counted(self, state_1d5):
         before = state_1d5.continuity_projections
@@ -228,6 +258,27 @@ class TestSolveDvs:
         assert len(e.residual_history) == 1
         assert e.solution is not None and e.solution.shape == (81,)
         assert e.phase == "interface"
+
+    def test_cg_breakdown_on_indefinite_operator(self):
+        # SPD interiors, but negative interface diagonals: A is symmetric indefinite
+        # and the interface operator is negative definite, so p'Ap < 0 at once
+        base = make_problem_2d(9, 9, 2, 2)
+        dm = base.decomposition
+        csr = base.matrix.csr.tolil()
+        for p in dm.interface_nodes:
+            csr[p, p] = -4.0
+        matrix = OriginalMatrix(csr=csr.tocsr(), symmetric=True)
+        problem = ProblemInstance(matrix=matrix, rhs=base.rhs, decomposition=dm)
+        eigs = np.linalg.eigvalsh(matrix.csr.toarray())
+        assert eigs[0] < 0 < eigs[-1]
+        with pytest.raises(ConvergenceError, match="breakdown") as err:
+            solve_dvs(problem, SolveConfig())
+        e = err.value
+        assert e.phase == "interface"
+        assert "gmres" in str(e)
+        assert len(e.residual_history) <= e.report.config["max_iters"] // 100
+        _, report = solve_dvs(problem, SolveConfig(krylov="gmres", compare_direct=True))
+        assert report.relative_error_vs_direct <= 1e-8
 
     def test_nonsymmetric_gmres_path(self):
         data = np.zeros((3, 5))
