@@ -79,27 +79,29 @@ def split_by_subdomain(matrix: OriginalMatrix, dm: DecompositionMap) -> list[Sub
     coo = matrix.csr.tocoo()
     p_nodes = coo.row // d
     q_nodes = coo.col // d
-    sets = [frozenset(ms) for ms in dm.memberships]
-    owner = np.empty(coo.nnz, dtype=np.int64)
-    for k in range(coo.nnz):
-        common = sets[p_nodes[k]] & sets[q_nodes[k]]
-        if not common:
-            raise LocalityError(
-                f"entry ({p_nodes[k]}, {q_nodes[k]}) couples nodes with no shared subdomain"
-            )
-        owner[k] = min(common)
+    shared = dm.shared_subdomains(p_nodes, q_nodes)
+    counts = np.diff(shared.indptr)
+    if not counts.all():
+        k = int(np.argmin(counts))
+        raise LocalityError(
+            f"entry ({p_nodes[k]}, {q_nodes[k]}) couples nodes with no shared subdomain"
+        )
+    owner = shared.indices[shared.indptr[:-1]]  # the first, hence lowest, shared subdomain
 
+    # entries grouped by owner, in their original order within each group
+    order = np.argsort(owner, kind="stable")
+    bounds = np.searchsorted(owner[order], np.arange(dm.n_subdomains + 1))
     slices = []
     for a in range(dm.n_subdomains):
         nodes = dm.subdomain_nodes[a]  # sorted, so a node's local rank is a binary search
-        mask = owner == a
-        rows = np.searchsorted(nodes, p_nodes[mask])
-        cols = np.searchsorted(nodes, q_nodes[mask])
-        local_rows = rows * d + coo.row[mask] % d
-        local_cols = cols * d + coo.col[mask] % d
+        mine = order[bounds[a]:bounds[a + 1]]
+        rows = np.searchsorted(nodes, p_nodes[mine])
+        cols = np.searchsorted(nodes, q_nodes[mine])
+        local_rows = rows * d + coo.row[mine] % d
+        local_cols = cols * d + coo.col[mine] % d
         size = len(nodes) * d
         local = sp.coo_matrix(
-            (coo.data[mask], (local_rows, local_cols)), shape=(size, size)
+            (coo.data[mine], (local_rows, local_cols)), shape=(size, size)
         ).tocsr()
         local.sort_indices()
         slices.append(SubdomainSlice(subdomain=a, nodes=nodes, matrix=local))

@@ -7,6 +7,12 @@ space, dual operator, solver) consumes the `DecompositionMap` built here.
 """
 from __future__ import annotations
 
+import functools
+import io
+import itertools
+import math
+import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +25,11 @@ from .exceptions import LocalityError, MatrixFormatError, PartitionError
 class DecompositionMap:
     """Node-to-subdomain memberships with multiplicities and the interior/interface split.
 
+    The one stored representation is `incidence`, a sparse N x n_subdomains
+    CSR matrix of int8 ones with sorted indices: row p holds the subdomains
+    whose closure contains node p.  Everything else is derived from it once,
+    on first use.
+
     Attributes:
         memberships: per node, the sorted tuple of subdomains whose closure contains it.
         multiplicity: per node, the number of such subdomains (length of the tuple).
@@ -26,46 +37,100 @@ class DecompositionMap:
         subdomain_nodes: per subdomain, the sorted array of member nodes.
     """
 
-    n_nodes: int
-    n_subdomains: int
-    memberships: tuple[tuple[int, ...], ...]
-    multiplicity: np.ndarray
-    interior_nodes: np.ndarray
-    interface_nodes: np.ndarray
-    subdomain_nodes: tuple[np.ndarray, ...]
+    incidence: sp.csr_matrix
+
+    @property
+    def n_nodes(self) -> int:
+        return self.incidence.shape[0]
+
+    @property
+    def n_subdomains(self) -> int:
+        return self.incidence.shape[1]
+
+    @functools.cached_property
+    def memberships(self) -> tuple[tuple[int, ...], ...]:
+        subs = self.incidence.indices.tolist()
+        ptr = self.incidence.indptr.tolist()
+        return tuple(tuple(subs[a:b]) for a, b in zip(ptr[:-1], ptr[1:]))
+
+    @functools.cached_property
+    def multiplicity(self) -> np.ndarray:
+        return np.diff(self.incidence.indptr).astype(np.int64)
+
+    @functools.cached_property
+    def interior_nodes(self) -> np.ndarray:
+        return np.flatnonzero(self.multiplicity == 1)
+
+    @functools.cached_property
+    def interface_nodes(self) -> np.ndarray:
+        return np.flatnonzero(self.multiplicity > 1)
+
+    @functools.cached_property
+    def subdomain_nodes(self) -> tuple[np.ndarray, ...]:
+        csc = self.incidence.tocsc()  # row indices come out sorted within each column
+        return tuple(np.split(csc.indices.astype(np.int64), csc.indptr[1:-1]))
+
+    def shared_subdomains(self, p: np.ndarray, q: np.ndarray) -> sp.csr_matrix:
+        """Row k lists, in ascending order, the subdomains shared by nodes p[k] and q[k]."""
+        shared = self.incidence[p].multiply(self.incidence[q]).tocsr()
+        shared.sort_indices()
+        return shared
 
     @staticmethod
-    def from_memberships(memberships, n_subdomains=None) -> "DecompositionMap":
-        """Build and validate a map from an iterable of per-node subdomain collections."""
-        mem = tuple(tuple(sorted(set(int(a) for a in ms))) for ms in memberships)
-        n_nodes = len(mem)
+    def from_pairs(nodes, subdomains, n_nodes: int, n_subdomains=None) -> "DecompositionMap":
+        """Build and validate a map from parallel arrays of (node, subdomain) memberships.
+
+        Repeated pairs count once.  Raises PartitionError for an empty node
+        set, a node out of range, a node in no subdomain, a negative
+        subdomain id, or a subdomain id not below `n_subdomains`.
+        """
+        nodes = np.asarray(nodes, dtype=np.int64).ravel()
+        subdomains = np.asarray(subdomains, dtype=np.int64).ravel()
+        if nodes.shape != subdomains.shape:
+            raise ValueError(f"{nodes.size} nodes but {subdomains.size} subdomain ids")
+        n_nodes = int(n_nodes)
         if n_nodes == 0:
             raise PartitionError("empty node set")
-        for p, ms in enumerate(mem):
-            if not ms:
-                raise PartitionError(f"node {p} belongs to no subdomain (coverage violated)")
-            if ms[0] < 0:
-                raise PartitionError(f"node {p} has negative subdomain id {ms[0]}")
-        max_sub = max(ms[-1] for ms in mem)
+        outside = (nodes < 0) | (nodes >= n_nodes)
+        if outside.any():
+            raise PartitionError(f"node {nodes[outside][0]} out of range [0, {n_nodes})")
+        # the lowest offending node decides which of the two errors is raised
+        covered = np.zeros(n_nodes, dtype=bool)
+        covered[nodes] = True
+        uncovered = np.flatnonzero(~covered)
+        negative = subdomains < 0
+        if uncovered.size or negative.any():
+            first_negative = nodes[negative].min() if negative.any() else n_nodes
+            if uncovered.size and uncovered[0] < first_negative:
+                raise PartitionError(
+                    f"node {uncovered[0]} belongs to no subdomain (coverage violated)"
+                )
+            lowest = subdomains[nodes == first_negative].min()
+            raise PartitionError(f"node {first_negative} has negative subdomain id {lowest}")
+        max_sub = int(subdomains.max())
         if n_subdomains is None:
             n_subdomains = max_sub + 1
         elif max_sub >= n_subdomains:
             raise PartitionError(f"subdomain id {max_sub} out of range [0, {n_subdomains})")
-        mult = np.array([len(ms) for ms in mem], dtype=np.int64)
-        nodes = np.arange(n_nodes)
-        per_sub = [[] for _ in range(n_subdomains)]
-        for p, ms in enumerate(mem):
-            for a in ms:
-                per_sub[a].append(p)
-        return DecompositionMap(
-            n_nodes=n_nodes,
-            n_subdomains=n_subdomains,
-            memberships=mem,
-            multiplicity=mult,
-            interior_nodes=nodes[mult == 1],
-            interface_nodes=nodes[mult > 1],
-            subdomain_nodes=tuple(np.array(g, dtype=np.int64) for g in per_sub),
+        # sorting the linear keys orders the pairs by node, then subdomain: CSR order
+        keys = np.sort(nodes * n_subdomains + subdomains)
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]  # repeats count once
+        rows, cols = np.divmod(keys, n_subdomains)
+        indptr = np.zeros(n_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n_nodes), out=indptr[1:])
+        incidence = sp.csr_matrix(
+            (np.ones(cols.size, dtype=np.int8), cols, indptr), shape=(n_nodes, n_subdomains)
         )
+        return DecompositionMap(incidence=incidence)
+
+    @staticmethod
+    def from_memberships(memberships, n_subdomains=None) -> "DecompositionMap":
+        """Build and validate a map from an iterable of per-node subdomain collections."""
+        mem = [[int(a) for a in ms] for ms in memberships]
+        nodes = np.repeat(np.arange(len(mem), dtype=np.int64), [len(ms) for ms in mem])
+        subdomains = np.fromiter(itertools.chain.from_iterable(mem), dtype=np.int64,
+                                 count=nodes.size)
+        return DecompositionMap.from_pairs(nodes, subdomains, len(mem), n_subdomains)
 
 
 def classify_original_nodes(dm: DecompositionMap) -> tuple[set, set]:
@@ -143,14 +208,30 @@ def load_matrix(path, block_dim: int = 1) -> OriginalMatrix:
     """Parse a Matrix Market coordinate file into an OriginalMatrix.
 
     Symmetric storage is expanded eagerly to full storage; the symmetric flag
-    is retained.  Parse failures raise MatrixFormatError with the line number.
+    is retained.  The entries are parsed in bulk; a file the bulk parse does
+    not accept whole goes through the line parser instead, which raises
+    MatrixFormatError with the line number of the first bad line.  A NaN
+    value is such an error.  An infinite value is not: duplicate entries
+    that overflow sum to Inf, and write_matrix writes that Inf, which loading
+    must read back.
     """
     with open(path, "r") as fh:
-        lines = fh.readlines()
+        n, nnz, symmetric, _ = _read_matrix_preamble(fh)
+        entries = _bulk_matrix_entries(fh, n, nnz, symmetric)
+    if entries is None:
+        n, symmetric, *entries = _parse_matrix_lines(path)
+    rows, cols, vals = entries
+    csr = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    csr.sort_indices()
+    return OriginalMatrix(csr=csr, block_dim=block_dim, symmetric=symmetric)
 
+
+def _read_matrix_preamble(fh):
+    """Read the header and size lines; returns (n, nnz, symmetric, lines read)."""
     lineno = 0
     header = None
-    for lineno, raw in enumerate(lines, start=1):
+    for raw in iter(fh.readline, ""):
+        lineno += 1
         if raw.strip():
             header = raw.strip()
             break
@@ -167,59 +248,99 @@ def load_matrix(path, block_dim: int = 1) -> OriginalMatrix:
         raise MatrixFormatError(f"unsupported symmetry {fields[4]!r}", line_number=lineno)
     symmetric = fields[4] == "symmetric"
 
-    size = None
-    body_start = lineno
-    for k in range(lineno, len(lines)):
-        stripped = lines[k].strip()
+    for raw in iter(fh.readline, ""):
+        lineno += 1
+        stripped = raw.strip()
         if not stripped or stripped.startswith("%"):
             continue
         parts = stripped.split()
         if len(parts) != 3:
-            raise MatrixFormatError(f"expected 'rows cols nnz', got {stripped!r}", line_number=k + 1)
+            raise MatrixFormatError(f"expected 'rows cols nnz', got {stripped!r}", line_number=lineno)
         try:
-            size = tuple(int(t) for t in parts)
+            n_rows, n_cols, nnz = (int(t) for t in parts)
         except ValueError:
-            raise MatrixFormatError(f"non-integer size line {stripped!r}", line_number=k + 1)
-        body_start = k + 1
-        break
-    if size is None:
-        raise MatrixFormatError("missing size line", line_number=len(lines))
-    n_rows, n_cols, nnz = size
-    if n_rows != n_cols:
-        raise MatrixFormatError(f"matrix is not square: {n_rows}x{n_cols}", line_number=body_start)
+            raise MatrixFormatError(f"non-integer size line {stripped!r}", line_number=lineno)
+        if n_rows != n_cols:
+            raise MatrixFormatError(f"matrix is not square: {n_rows}x{n_cols}", line_number=lineno)
+        return n_rows, nnz, symmetric, lineno
+    raise MatrixFormatError("missing size line", line_number=lineno)
 
-    rows, cols, vals = [], [], []
-    count = 0
-    for k in range(body_start, len(lines)):
-        stripped = lines[k].strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        parts = stripped.split()
-        if len(parts) != 3:
-            raise MatrixFormatError(f"expected 'i j value', got {stripped!r}", line_number=k + 1)
-        try:
-            i, j = int(parts[0]) - 1, int(parts[1]) - 1
-            v = float(parts[2])
-        except ValueError:
-            raise MatrixFormatError(f"cannot parse entry {stripped!r}", line_number=k + 1)
-        if not (0 <= i < n_rows and 0 <= j < n_cols):
-            raise MatrixFormatError(f"index ({i + 1}, {j + 1}) out of range", line_number=k + 1)
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-        if symmetric and i != j:
-            rows.append(j)
-            cols.append(i)
+
+_MM_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+# a '%' after other text on a line: the line parser rejects it, np.loadtxt would drop it
+_INLINE_PERCENT = re.compile(r"^\s*[^%\s][^\n]*%", re.MULTILINE)
+
+
+def _bulk_table(fh, dtype, comments, ndmin):
+    """One np.loadtxt over the rest of `fh`; None when numpy cannot parse it."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "no data": callers check the size
+            return np.loadtxt(fh, dtype=dtype, comments=comments, ndmin=ndmin)
+    except ValueError:
+        return None
+
+
+def _bulk_matrix_entries(fh, n, nnz, symmetric):
+    """Entries after the size line as (rows, cols, vals), or None to defer to the line parser.
+
+    The order, symmetric mirrors included, is the line parser's, so duplicate
+    entries sum in the same order and the assembled matrix is bit-identical.
+    """
+    body = fh.read()
+    comments = None
+    if "%" in body:
+        if _INLINE_PERCENT.search(body):
+            return None
+        comments = "%"
+    table = _bulk_table(io.StringIO(body), _MM_ENTRY, comments, 1)
+    if table is None or len(table) != nnz:
+        return None
+    i, j, v = table["i"] - 1, table["j"] - 1, table["v"]
+    if not (np.all((i >= 0) & (i < n) & (j >= 0) & (j < n)) and not np.isnan(v).any()):
+        return None
+    if not symmetric:
+        return i, j, v
+    keep = np.column_stack([np.ones(i.size, dtype=bool), i != j]).ravel()
+    return (np.column_stack([i, j]).ravel()[keep], np.column_stack([j, i]).ravel()[keep],
+            np.repeat(v, 2)[keep])
+
+
+def _parse_matrix_lines(path):
+    """Line-by-line parse into (n, symmetric, rows, cols, vals); errors name the line."""
+    with open(path, "r") as fh:
+        n, nnz, symmetric, lineno = _read_matrix_preamble(fh)
+        rows, cols, vals = [], [], []
+        count = 0
+        for lineno, raw in enumerate(fh, start=lineno + 1):
+            stripped = raw.strip()
+            if not stripped or stripped.startswith("%"):
+                continue
+            parts = stripped.split()
+            if len(parts) != 3:
+                raise MatrixFormatError(f"expected 'i j value', got {stripped!r}", line_number=lineno)
+            try:
+                i, j = int(parts[0]) - 1, int(parts[1]) - 1
+                v = float(parts[2])
+            except ValueError:
+                raise MatrixFormatError(f"cannot parse entry {stripped!r}", line_number=lineno)
+            if not (0 <= i < n and 0 <= j < n):
+                raise MatrixFormatError(f"index ({i + 1}, {j + 1}) out of range", line_number=lineno)
+            if math.isnan(v):
+                raise MatrixFormatError(f"NaN value in entry {stripped!r}", line_number=lineno)
+            rows.append(i)
+            cols.append(j)
             vals.append(v)
-        count += 1
+            if symmetric and i != j:
+                rows.append(j)
+                cols.append(i)
+                vals.append(v)
+            count += 1
     if count != nnz:
         raise MatrixFormatError(f"header promises {nnz} entries, file has {count}",
-                                line_number=len(lines))
-
-    coo = sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
-    csr = coo.tocsr()
-    csr.sort_indices()
-    return OriginalMatrix(csr=csr, block_dim=block_dim, symmetric=symmetric)
+                                line_number=lineno)
+    return (n, symmetric, np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
+            np.array(vals, dtype=np.float64))
 
 
 def write_matrix(matrix: OriginalMatrix, path) -> None:
@@ -249,9 +370,23 @@ def load_partition(path, n_nodes: int) -> DecompositionMap:
     """Read `node_id subdomain_id` pairs; '#' comments and blank lines allowed.
 
     A node may appear on several lines (shared interface nodes).  Every node
-    in [0, n_nodes) must appear at least once.
+    in [0, n_nodes) must appear at least once.  The pairs are parsed in bulk;
+    a file the bulk parse does not accept whole goes through the line parser,
+    whose errors name the line.
     """
-    memberships = [set() for _ in range(n_nodes)]
+    with open(path, "r") as fh:
+        table = _bulk_table(fh, np.int64, "#", 2)
+    if (table is None or table.shape[1] != 2
+            or np.any((table[:, 0] < 0) | (table[:, 0] >= n_nodes) | (table[:, 1] < 0))):
+        nodes, subdomains = _parse_partition_lines(path, n_nodes)
+    else:
+        nodes, subdomains = table[:, 0], table[:, 1]
+    return DecompositionMap.from_pairs(nodes, subdomains, n_nodes)
+
+
+def _parse_partition_lines(path, n_nodes: int):
+    """Line-by-line parse into (nodes, subdomains) arrays; errors name the line."""
+    nodes, subdomains = [], []
     with open(path, "r") as fh:
         for lineno, raw in enumerate(fh, start=1):
             stripped = raw.split("#", 1)[0].strip()
@@ -268,22 +403,34 @@ def load_partition(path, n_nodes: int) -> DecompositionMap:
                 raise PartitionError(f"line {lineno}: node {p} out of range [0, {n_nodes})")
             if a < 0:
                 raise PartitionError(f"line {lineno}: negative subdomain id {a}")
-            memberships[p].add(a)
-    missing = [p for p, ms in enumerate(memberships) if not ms]
-    if missing:
-        raise PartitionError(f"node {missing[0]} belongs to no subdomain (coverage violated)")
-    return DecompositionMap.from_memberships(memberships)
+            nodes.append(p)
+            subdomains.append(a)
+    return np.array(nodes, dtype=np.int64), np.array(subdomains, dtype=np.int64)
 
 
 def write_partition(dm: DecompositionMap, path) -> None:
+    inc = dm.incidence
+    nodes = np.repeat(np.arange(dm.n_nodes), np.diff(inc.indptr))
     with open(path, "w") as fh:
-        for p, ms in enumerate(dm.memberships):
-            for a in ms:
-                fh.write(f"{p} {a}\n")
+        np.savetxt(fh, np.column_stack([nodes, inc.indices]), fmt="%d")
 
 
 def load_vector(path) -> np.ndarray:
-    """Read one real per line ('#' comments and blank lines allowed)."""
+    """Read one real per line ('#' comments and blank lines allowed).
+
+    Parsed in bulk; a file the bulk parse does not accept whole goes through
+    the line parser, which raises MatrixFormatError naming the first bad
+    line.  A NaN or Inf value is such an error.
+    """
+    with open(path, "r") as fh:
+        table = _bulk_table(fh, np.float64, "#", 2)
+    if table is None or table.shape[1] != 1 or not np.all(np.isfinite(table)):
+        return _parse_vector_lines(path)
+    return table[:, 0]
+
+
+def _parse_vector_lines(path) -> np.ndarray:
+    """Line-by-line parse; errors name the line."""
     values = []
     with open(path, "r") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -291,9 +438,12 @@ def load_vector(path) -> np.ndarray:
             if not stripped:
                 continue
             try:
-                values.append(float(stripped))
+                value = float(stripped)
             except ValueError:
                 raise MatrixFormatError(f"cannot parse value {stripped!r}", line_number=lineno)
+            if not math.isfinite(value):
+                raise MatrixFormatError(f"non-finite value {stripped!r}", line_number=lineno)
+            values.append(value)
     return np.array(values, dtype=np.float64)
 
 
@@ -319,6 +469,23 @@ class LocalityReport:
         return self.ok
 
 
+def node_pairs(matrix: OriginalMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct off-diagonal node pairs (p, q) of the sparsity pattern, in (p, q) order.
+
+    Explicitly stored zeros count as structural entries.
+    """
+    d = matrix.block_dim
+    coo = matrix.csr.tocoo()
+    n = matrix.n_nodes
+    pattern = sp.csr_matrix(
+        (np.ones(coo.nnz, dtype=np.int8), (coo.row // d, coo.col // d)), shape=(n, n)
+    )
+    pattern.sum_duplicates()  # also sorts each row's columns
+    pattern = pattern.tocoo()
+    off = pattern.row != pattern.col
+    return pattern.row[off], pattern.col[off]
+
+
 def validate_locality(matrix: OriginalMatrix, dm: DecompositionMap) -> LocalityReport:
     """Check that every structurally nonzero node pair shares a subdomain.
 
@@ -327,15 +494,14 @@ def validate_locality(matrix: OriginalMatrix, dm: DecompositionMap) -> LocalityR
     """
     if matrix.n_nodes != dm.n_nodes:
         raise ValueError(f"matrix has {matrix.n_nodes} nodes, partition {dm.n_nodes}")
-    d = matrix.block_dim
-    coo = matrix.csr.tocoo()
-    pairs = np.unique(np.stack([coo.row // d, coo.col // d], axis=1), axis=0)
-    sets = [frozenset(ms) for ms in dm.memberships]
-    bad = []
-    for p, q in pairs:
-        if p != q and not (sets[p] & sets[q]):
-            bad.append((int(p), int(q)))
-    return LocalityReport(ok=not bad, n_violations=len(bad), violations=tuple(bad[:20]))
+    p, q = node_pairs(matrix)
+    bad = np.flatnonzero(dm.shared_subdomains(p, q).getnnz(axis=1) == 0)
+    shown = bad[:20]
+    return LocalityReport(
+        ok=bad.size == 0,
+        n_violations=int(bad.size),
+        violations=tuple(zip(p[shown].tolist(), q[shown].tolist())),
+    )
 
 
 def interior_coupling_violations(matrix: OriginalMatrix, dm: DecompositionMap) -> list[tuple[int, int]]:
@@ -344,16 +510,11 @@ def interior_coupling_violations(matrix: OriginalMatrix, dm: DecompositionMap) -
     Empty for any matrix passing locality validation: the sparsity pattern of
     the interior-interior block is then block-diagonal by subdomain.
     """
-    d = matrix.block_dim
-    coo = matrix.csr.tocoo()
-    pairs = np.unique(np.stack([coo.row // d, coo.col // d], axis=1), axis=0)
-    mult = dm.multiplicity
-    bad = []
-    for p, q in pairs:
-        if p != q and mult[p] == 1 and mult[q] == 1:
-            if dm.memberships[p][0] != dm.memberships[q][0]:
-                bad.append((int(p), int(q)))
-    return bad
+    p, q = node_pairs(matrix)
+    interior = dm.multiplicity == 1
+    home = dm.incidence.indices[dm.incidence.indptr[:-1]]  # an interior node's only subdomain
+    bad = interior[p] & interior[q] & (home[p] != home[q])
+    return list(zip(p[bad].tolist(), q[bad].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -417,17 +578,17 @@ def generate_box_partition(nx: int, ny: int, px: int, py: int) -> DecompositionM
     """
     cx = _cut_positions(nx, px)
     cy = _cut_positions(ny, py)
-
-    def intervals(cuts, i):
-        return [b for b in range(len(cuts) - 1) if cuts[b] <= i <= cuts[b + 1]]
-
-    x_boxes = [intervals(cx, i) for i in range(nx)]
-    y_boxes = [intervals(cy, j) for j in range(ny)]
-    memberships = []
-    for j in range(ny):
-        for i in range(nx):
-            memberships.append([bj * px + bi for bj in y_boxes[j] for bi in x_boxes[i]])
-    return DecompositionMap.from_memberships(memberships, n_subdomains=px * py)
+    nodes, boxes = [], []
+    for bj in range(py):
+        for bi in range(px):
+            xs = np.arange(cx[bi], cx[bi + 1] + 1)
+            ys = np.arange(cy[bj], cy[bj + 1] + 1)
+            block = (ys[:, None] * nx + xs[None, :]).ravel()
+            nodes.append(block)
+            boxes.append(np.full(block.size, bj * px + bi))
+    return DecompositionMap.from_pairs(
+        np.concatenate(nodes), np.concatenate(boxes), nx * ny, n_subdomains=px * py
+    )
 
 
 def require_locality(matrix: OriginalMatrix, dm: DecompositionMap) -> None:

@@ -333,8 +333,16 @@ def _gmres(apply_op, g, ip, reproject, tol, max_iters, restart=30):
                 h[i + 1, j] = -sn[i] * h[i, j] + cs[i] * h[i + 1, j]
                 h[i, j] = hi
             denom = np.hypot(h[j, j], h[j + 1, j])
-            cs[j] = h[j, j] / denom if denom else 1.0
-            sn[j] = h[j + 1, j] / denom if denom else 0.0
+            if denom == 0.0:
+                raise ConvergenceError(
+                    f"gmres breakdown at iteration {total + 1}: the rotated Hessenberg matrix "
+                    "has a zero diagonal entry, so the interface operator is singular on "
+                    "the Krylov space",
+                    residual_history=history,
+                    best=x,
+                )
+            cs[j] = h[j, j] / denom
+            sn[j] = h[j + 1, j] / denom
             h[j, j] = denom
             h[j + 1, j] = 0.0
             s[j + 1] = -sn[j] * s[j]

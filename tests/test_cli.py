@@ -138,6 +138,21 @@ class TestSolve:
         assert "non-finite" in result.stderr
         assert result.stdout.strip() == ""  # no report: no solve phase ran
 
+    def test_gmres_breakdown_exit_2_with_report(self, tmp_path):
+        (tmp_path / "s.mtx").write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n3 3 5\n"
+            "1 1 1.0\n2 1 1.0\n2 2 2.0\n3 2 1.0\n3 3 1.0\n"
+        )
+        (tmp_path / "s.part").write_text("0 0\n1 0\n1 1\n2 1\n")
+        result = run_cli(
+            ["solve", "--matrix", "s.mtx", "--partition", "s.part", "--rhs-delta", "0",
+             "--krylov", "gmres"],
+            cwd=tmp_path,
+        )
+        assert result.returncode == 2
+        assert "gmres breakdown" in result.stderr
+        assert json.loads(result.stdout)["converged"] is False
+
     def test_bad_krylov_flag_exit_2_usage(self, generated_1d):
         result = run_cli(
             ["solve", "--matrix", "p1.mtx", "--partition", "p1.part",
@@ -203,3 +218,10 @@ class TestInfo:
         payload = json.loads(result.stdout)
         assert payload["partition"]["n_subdomains"] == 2
         assert payload["rhs"]["length"] == 5
+
+    def test_non_finite_rhs_exit_1_without_json(self, generated_1d):
+        (generated_1d / "nan.rhs").write_text("0\n0\nnan\n0\n0\n")
+        result = run_cli(["info", "--matrix", "p1.mtx", "--rhs", "nan.rhs"], cwd=generated_1d)
+        assert result.returncode == 1
+        assert "line 3" in result.stderr and "non-finite" in result.stderr
+        assert result.stdout.strip() == ""

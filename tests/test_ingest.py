@@ -295,3 +295,148 @@ def test_decomposition_invariants(memberships):
     for nodes in dm.subdomain_nodes:
         covered.update(int(p) for p in nodes)
     assert covered == set(range(dm.n_nodes))
+
+
+def _load_both(monkeypatch, load, bulk_name, line_name, *args):
+    """(bulk result, line-parser result) of one loader on the same file.
+
+    The bulk run replaces the line parser with a failing stub, so it proves
+    that the bulk path accepted the file whole.
+    """
+    def refuse(*_):
+        raise AssertionError("the bulk parse deferred to the line parser")
+
+    line_parser = getattr(ingest, line_name)
+    with monkeypatch.context() as m:
+        m.setattr(ingest, line_name, refuse)
+        bulk = load(*args)
+    with monkeypatch.context() as m:
+        m.setattr(ingest, bulk_name, lambda *_: None)
+        m.setattr(ingest, line_name, line_parser)
+        lines = load(*args)
+    return bulk, lines
+
+
+def _assert_same_csr(a, b):
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a.csr, name), getattr(b.csr, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert a.symmetric == b.symmetric
+
+
+class TestBulkParse:
+    COMMENTED_MTX = (
+        "%%MatrixMarket matrix coordinate real symmetric\n"
+        "% a comment before the size line\n"
+        "\n"
+        "5 5 10  \n"
+        "1 1 2.0\n"
+        "2 1 -1.0   \n"
+        "\n"
+        "% a comment between entries\n"
+        "   %   an indented comment\n"
+        "2 2 2.0\n"
+        "3 2 -0.1\t\n"
+        "3 3 2.0\n"
+        "4 3 -1e-300\n"
+        "4 4 2.0\n"
+        "5 4 -1.0\n"
+        "5 5 2.0\n"
+        "5 5 3e-17\n"   # a duplicate: the two values are summed in file order
+    )
+
+    def test_matrix_parity_with_comments_and_symmetric_storage(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.mtx"
+        path.write_text(self.COMMENTED_MTX)
+        bulk, lines = _load_both(monkeypatch, ingest.load_matrix, "_bulk_matrix_entries",
+                                 "_parse_matrix_lines", path)
+        _assert_same_csr(bulk, lines)
+        assert bulk.nnz == 13 and bulk.csr[4, 4] == 2.0 + 3e-17
+
+    def test_matrix_parity_general_roundtrip(self, tmp_path, monkeypatch):
+        m = ingest.generate_poisson_2d(6, 5)
+        m.csr.data[:] = np.random.default_rng(1).standard_normal(m.nnz)
+        m = ingest.OriginalMatrix(csr=m.csr, symmetric=False)
+        path = tmp_path / "a.mtx"
+        ingest.write_matrix(m, path)
+        bulk, lines = _load_both(monkeypatch, ingest.load_matrix, "_bulk_matrix_entries",
+                                 "_parse_matrix_lines", path)
+        _assert_same_csr(bulk, lines)
+        assert np.array_equal(bulk.csr.data, m.csr.data)
+
+    def test_partition_parity_with_comments(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.part"
+        path.write_text("# header\n\n0 0  \n1 0 # trailing comment\n2 0\n2 1\t\n"
+                        "   \n2 1\n3 1\n4 1\n# end\n")
+        bulk, lines = _load_both(monkeypatch, ingest.load_partition, "_bulk_table",
+                                 "_parse_partition_lines", path, 5)
+        assert bulk.memberships == lines.memberships == ((0,), (0,), (0, 1), (1,), (1,))
+        assert np.array_equal(bulk.incidence.indices, lines.incidence.indices)
+        assert np.array_equal(bulk.incidence.indptr, lines.incidence.indptr)
+
+    def test_vector_parity_with_comments(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.rhs"
+        path.write_text("# rhs\n1.0\n\n-0.1   # comment\n 3e-17\n2.5\t\n-0.0\n1e308\n")
+        bulk, lines = _load_both(monkeypatch, ingest.load_vector, "_bulk_table",
+                                 "_parse_vector_lines", path)
+        assert bulk.dtype == lines.dtype == np.float64
+        assert bulk.shape == lines.shape == (6,)
+        assert bulk.tobytes() == lines.tobytes()
+
+    @pytest.mark.parametrize("line,match", [
+        ("1.5 1 2.0", "line 4: cannot parse entry"),
+        ("2.0 1 2.0", "line 4: cannot parse entry"),
+        ("1 1 2.0 % inline", "line 4: expected 'i j value'"),
+        ("1 1 nan", "line 4: NaN value"),
+        ("3 1 1.0", r"line 4: index \(3, 1\) out of range"),
+    ])
+    def test_matrix_bad_entry_after_good_ones_names_its_line(self, tmp_path, line, match):
+        path = tmp_path / "a.mtx"
+        path.write_text(f"%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n{line}\n"
+                        "2 2 1.0\n")
+        with pytest.raises(MatrixFormatError, match=match):
+            ingest.load_matrix(path)
+
+    def test_matrix_infinity_round_trips(self, tmp_path):
+        # duplicate entries that overflow sum to inf, which write_matrix writes out
+        path = tmp_path / "a.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 inf\n")
+        assert ingest.load_matrix(path).csr[0, 0] == np.inf
+
+    @pytest.mark.parametrize("text,match", [
+        ("0 0\n1 0\n2 x\n", "line 3: non-integer pair"),
+        ("0 0\n1 0\n2 0 1\n", "line 3: expected 'node subdomain'"),
+        ("0 0\n1 -1\n2 0\n", "line 2: negative subdomain id -1"),
+        ("0 0\n1 0\n2 0\n3 0\n", r"line 4: node 3 out of range \[0, 3\)"),
+        ("0 0\n1.0 0\n2 0\n", "line 2: non-integer pair"),
+    ])
+    def test_partition_errors_name_the_line(self, tmp_path, text, match):
+        path = tmp_path / "p.part"
+        path.write_text(text)
+        with pytest.raises(PartitionError, match=match):
+            ingest.load_partition(path, 3)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity", "1e999"])
+    def test_vector_non_finite_names_the_line(self, tmp_path, bad):
+        path = tmp_path / "v.rhs"
+        path.write_text(f"1.0\n# comment\n{bad}\n2.0\n")
+        with pytest.raises(MatrixFormatError, match="line 3: non-finite"):
+            ingest.load_vector(path)
+
+    def test_vector_bad_value_names_the_line(self, tmp_path):
+        path = tmp_path / "v.rhs"
+        path.write_text("1.0\n2.0 3.0\n")
+        with pytest.raises(MatrixFormatError, match="line 2: cannot parse value"):
+            ingest.load_vector(path)
+
+    def test_empty_vector_file(self, tmp_path):
+        path = tmp_path / "v.rhs"
+        path.write_text("# nothing\n\n")
+        v = ingest.load_vector(path)
+        assert v.shape == (0,) and v.dtype == np.float64
+
+    def test_write_partition_lists_every_pair(self, tmp_path):
+        dm = ingest.generate_box_partition(3, 1, 2, 1)
+        path = tmp_path / "p.part"
+        ingest.write_partition(dm, path)
+        assert path.read_text() == "0 0\n1 0\n1 1\n2 1\n"

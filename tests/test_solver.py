@@ -280,6 +280,20 @@ class TestSolveDvs:
         _, report = solve_dvs(problem, SolveConfig(krylov="gmres", compare_direct=True))
         assert report.relative_error_vs_direct <= 1e-8
 
+    def test_gmres_breakdown_on_singular_interface_operator(self):
+        # the interface Schur complement is 2 - 1 - 1 = 0, but its right-hand side is not
+        matrix = OriginalMatrix(
+            csr=sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]])),
+            symmetric=True,
+        )
+        dm = DecompositionMap.from_memberships([(0,), (0, 1), (1,)])
+        problem = ProblemInstance(matrix=matrix, rhs=np.array([1.0, 0.0, 0.0]), decomposition=dm)
+        with pytest.raises(ConvergenceError, match="gmres breakdown") as err:
+            solve_dvs(problem, SolveConfig(krylov="gmres"))
+        e = err.value
+        assert e.phase == "interface"
+        assert e.report is not None and not e.report.converged
+
     def test_nonsymmetric_gmres_path(self):
         data = np.zeros((3, 5))
         data[0, :-1] = -0.8
