@@ -38,8 +38,12 @@ def _parse_primal(text: str) -> dict:
         return {"primal_min_multiplicity": int(text.split("=", 1)[1])}
     if text.startswith("file="):
         path = text.split("=", 1)[1]
-        nodes = tuple(int(v) for v in ingest.load_vector(path))
-        return {"primal_nodes": nodes}
+        values = ingest.load_vector(path)
+        fractional = values[values != np.trunc(values)]
+        if fractional.size:
+            raise ConfigError(f"--primal file {path}: node id {float(fractional[0])!r} "
+                              "is not an integer")
+        return {"primal_nodes": tuple(int(v) for v in values)}
     raise ConfigError(f"cannot parse --primal {text!r}; expected none, minmult=K or file=PATH")
 
 

@@ -370,14 +370,16 @@ def load_partition(path, n_nodes: int) -> DecompositionMap:
     """Read `node_id subdomain_id` pairs; '#' comments and blank lines allowed.
 
     A node may appear on several lines (shared interface nodes).  Every node
-    in [0, n_nodes) must appear at least once.  The pairs are parsed in bulk;
-    a file the bulk parse does not accept whole goes through the line parser,
-    whose errors name the line.
+    in [0, n_nodes) must appear at least once.  Subdomain ids lie in
+    [0, n_nodes): storage grows with the largest id, and N nodes need at most
+    N non-empty subdomains.  The pairs are parsed in bulk; a file the bulk
+    parse does not accept whole (an id beyond int64 included) goes through
+    the line parser, whose errors name the line.
     """
     with open(path, "r") as fh:
         table = _bulk_table(fh, np.int64, "#", 2)
     if (table is None or table.shape[1] != 2
-            or np.any((table[:, 0] < 0) | (table[:, 0] >= n_nodes) | (table[:, 1] < 0))):
+            or np.any((table < 0) | (table >= n_nodes))):
         nodes, subdomains = _parse_partition_lines(path, n_nodes)
     else:
         nodes, subdomains = table[:, 0], table[:, 1]
@@ -403,6 +405,11 @@ def _parse_partition_lines(path, n_nodes: int):
                 raise PartitionError(f"line {lineno}: node {p} out of range [0, {n_nodes})")
             if a < 0:
                 raise PartitionError(f"line {lineno}: negative subdomain id {a}")
+            if a >= n_nodes:
+                raise PartitionError(
+                    f"line {lineno}: subdomain id {a} out of range [0, {n_nodes}); "
+                    f"{n_nodes} nodes need at most {n_nodes} subdomains"
+                )
             nodes.append(p)
             subdomains.append(a)
     return np.array(nodes, dtype=np.int64), np.array(subdomains, dtype=np.int64)

@@ -138,6 +138,17 @@ class TestSolve:
         assert "non-finite" in result.stderr
         assert result.stdout.strip() == ""  # no report: no solve phase ran
 
+    def test_fractional_primal_node_exit_1(self, generated_1d):
+        (generated_1d / "primal.txt").write_text("2.7\n")
+        result = run_cli(
+            ["solve", "--matrix", "p1.mtx", "--partition", "p1.part", "--rhs", "p1.rhs",
+             "--primal", "file=primal.txt"],
+            cwd=generated_1d,
+        )
+        assert result.returncode == 1
+        assert "error:" in result.stderr and "2.7" in result.stderr
+        assert result.stdout.strip() == ""
+
     def test_gmres_breakdown_exit_2_with_report(self, tmp_path):
         (tmp_path / "s.mtx").write_text(
             "%%MatrixMarket matrix coordinate real symmetric\n3 3 5\n"
@@ -224,4 +235,13 @@ class TestInfo:
         result = run_cli(["info", "--matrix", "p1.mtx", "--rhs", "nan.rhs"], cwd=generated_1d)
         assert result.returncode == 1
         assert "line 3" in result.stderr and "non-finite" in result.stderr
+        assert result.stdout.strip() == ""
+
+    @pytest.mark.parametrize("subdomain", ["3000000", "99999999999999999999"])
+    def test_partition_id_beyond_node_count_exit_1(self, generated_1d, subdomain):
+        (generated_1d / "big.part").write_text(f"0 0\n1 0\n2 0\n3 0\n4 {subdomain}\n")
+        result = run_cli(["info", "--matrix", "p1.mtx", "--partition", "big.part"],
+                         cwd=generated_1d)
+        assert result.returncode == 1
+        assert f"error: line 5: subdomain id {subdomain} out of range" in result.stderr
         assert result.stdout.strip() == ""

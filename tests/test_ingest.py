@@ -416,6 +416,19 @@ class TestBulkParse:
         with pytest.raises(PartitionError, match=match):
             ingest.load_partition(path, 3)
 
+    @pytest.mark.parametrize("text,match", [
+        ("0 0\n1 2\n2 3\n", r"line 3: subdomain id 3 out of range \[0, 3\)"),
+        ("0 0\n1 3000000\n2 0\n", r"line 2: subdomain id 3000000 out of range \[0, 3\)"),
+        ("0 0\n1 0\n2 99999999999999999999\n", "line 3: subdomain id 99999999999999999999"),
+        ("0 0\n99999999999999999999 0\n2 0\n", "line 2: node 99999999999999999999 out of range"),
+    ])
+    def test_partition_ids_bounded_by_node_count(self, tmp_path, text, match):
+        # storage grows with the largest id; an id past int64 must not leak OverflowError
+        path = tmp_path / "p.part"
+        path.write_text(text)
+        with pytest.raises(PartitionError, match=match):
+            ingest.load_partition(path, 3)
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity", "1e999"])
     def test_vector_non_finite_names_the_line(self, tmp_path, bad):
         path = tmp_path / "v.rhs"
