@@ -416,7 +416,17 @@ def _parse_partition_lines(path, n_nodes: int):
 
 
 def write_partition(dm: DecompositionMap, path) -> None:
+    """Write one `node subdomain` line per membership.
+
+    Raises PartitionError, before opening `path`, for a subdomain id that
+    `load_partition` would reject: a file holds ids below the node count.
+    """
     inc = dm.incidence
+    if inc.nnz and inc.indices.max() >= dm.n_nodes:
+        raise PartitionError(
+            f"subdomain id {inc.indices.max()} out of range [0, {dm.n_nodes}) "
+            "for a partition file"
+        )
     nodes = np.repeat(np.arange(dm.n_nodes), np.diff(inc.indptr))
     with open(path, "w") as fh:
         np.savetxt(fh, np.column_stack([nodes, inc.indices]), fmt="%d")

@@ -152,21 +152,16 @@ def _interior_by_subdomain(dm: DecompositionMap, d: int) -> list[tuple[np.ndarra
     return groups
 
 
-def _splu(csc: sp.csc_matrix, symmetric: bool):
-    """Sparse LU of `csc`, ordered by whether the original matrix is symmetric.
+def _splu(csc: sp.csc_matrix):
+    """Sparse LU of `csc` with a minimum-degree ordering of A^T + A.
 
-    Symmetric input gets a minimum-degree ordering of A^T + A in SuperLU's
-    symmetric mode, which on the Poisson ladder cuts L+U fill by 10-42% and
-    the solve time with it.  The default diag_pivot_thresh of 1.0 takes the
-    diagonal pivot only when it is also the largest in its column, so
-    threshold partial pivoting is kept; a lower threshold solves blocks
-    tridiag(1, 1e-12, 1) to only 4e-5.  Nonsymmetric input keeps SuperLU's
-    defaults (COLAMD): there off-diagonal pivots break a symmetric ordering,
-    and fill rose 1.7-3x on convection-dominated 129^2 problems.
+    SuperLU's symmetric mode keeps the default diag_pivot_thresh of 1.0: the
+    diagonal pivot is taken only when it is also the largest in its column,
+    so threshold partial pivoting is kept; a lower threshold would accept a
+    tiny diagonal pivot.  On strongly nonsymmetric input off-diagonal pivots
+    defeat the symmetric ordering and fill grows; see ROADMAP.md.
     """
-    if symmetric:
-        return spla.splu(csc, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
-    return spla.splu(csc)
+    return spla.splu(csc, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
 
 
 def factor_interior(matrix: OriginalMatrix, dm: DecompositionMap,
@@ -184,13 +179,13 @@ def factor_interior(matrix: OriginalMatrix, dm: DecompositionMap,
     if csc.shape[0] == 0:
         return InteriorFactorization(decomposition=dm, block_dim=d, lu=None)
     try:
-        lu = _splu(csc, matrix.symmetric)
+        lu = _splu(csc)
     except RuntimeError as fused_error:
         for a, (_, offsets) in enumerate(_interior_by_subdomain(dm, d)):
             if len(offsets) == 0:
                 continue
             try:
-                _splu(csc[np.ix_(offsets, offsets)].tocsc(), matrix.symmetric)
+                _splu(csc[np.ix_(offsets, offsets)].tocsc())
             except RuntimeError as e:
                 raise SingularInteriorError(a, f"interior block of subdomain {a}: {e}") from e
         raise SingularInteriorError(None, f"interior block A_II: {fused_error}") from fused_error

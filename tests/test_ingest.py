@@ -453,3 +453,15 @@ class TestBulkParse:
         path = tmp_path / "p.part"
         ingest.write_partition(dm, path)
         assert path.read_text() == "0 0\n1 0\n1 1\n2 1\n"
+
+    def test_write_partition_refuses_id_the_loader_rejects(self, tmp_path):
+        # from_memberships accepts id 5 on 2 nodes; a file may not hold it
+        dm = ingest.DecompositionMap.from_memberships([(0,), (5,)])
+        path = tmp_path / "p.part"
+        with pytest.raises(PartitionError, match=r"subdomain id 5 out of range \[0, 2\)"):
+            ingest.write_partition(dm, path)
+        assert not path.exists()
+        # empty subdomains beyond the node count are not written, so they round-trip
+        wide = ingest.DecompositionMap.from_memberships([(0,), (1,)], n_subdomains=9)
+        ingest.write_partition(wide, path)
+        assert ingest.load_partition(path, 2).memberships == wide.memberships
