@@ -2,7 +2,7 @@
 """Sweep grid sizes and box counts; print one JSON line per solve.
 
 Example:
-    python scripts/convergence_study.py --sizes 9 17 33 65 --boxes 2 4 --threads 4
+    python scripts/convergence_study.py --sizes 9 17 33 65 --boxes 2 4
 """
 import argparse
 import json
@@ -41,11 +41,9 @@ def main():
     parser.add_argument("--boxes", type=int, nargs="+", default=[2, 4])
     parser.add_argument("--tol", type=float, default=1e-10)
     parser.add_argument("--krylov", choices=["cg", "gmres"], default="cg")
-    parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args()
 
-    cfg = SolveConfig(tol=args.tol, krylov=args.krylov, threads=args.threads,
-                      compare_direct=True)
+    cfg = SolveConfig(tol=args.tol, krylov=args.krylov, compare_direct=True)
     for size in args.sizes:
         for boxes in args.boxes:
             if boxes >= size:

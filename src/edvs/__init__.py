@@ -25,7 +25,6 @@ from .dual import (
     apply_block,
     apply_dual,
     build_dual_operator,
-    exchange,
     split_by_subdomain,
 )
 from .exceptions import (
@@ -34,7 +33,6 @@ from .exceptions import (
     ConvergenceError,
     EdvsError,
     InconsistentSystemError,
-    IncompleteExchangeError,
     InvalidPrimalError,
     InvalidSplitError,
     LocalityError,
@@ -72,7 +70,6 @@ from .solver import (
     SolveConfig,
     SolveReport,
     apply_interface_operator,
-    assemble_dual_rhs,
     back_substitute,
     factor_interior,
     setup_solver,

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections import Counter
 
@@ -45,18 +44,6 @@ def _parse_primal(text: str) -> dict:
                               "is not an integer")
         return {"primal_nodes": tuple(int(v) for v in values)}
     raise ConfigError(f"cannot parse --primal {text!r}; expected none, minmult=K or file=PATH")
-
-
-def _resolve_threads(value) -> int | None:
-    if value is not None:
-        return value
-    env = os.environ.get("EDVS_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"EDVS_THREADS={env!r} is not an integer")
-    return None
 
 
 def _emit(payload: dict) -> None:
@@ -126,7 +113,6 @@ def cmd_solve(args) -> int:
         tol=args.tol,
         max_iters=args.max_iters,
         krylov=args.krylov,
-        threads=_resolve_threads(args.threads),
         compare_direct=args.compare_direct,
         **_parse_primal(args.primal),
     )
@@ -228,9 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--tol", type=float, default=1e-10)
     slv.add_argument("--max-iters", type=int, default=None)
     slv.add_argument("--krylov", choices=["cg", "gmres"], default="cg")
-    slv.add_argument("--threads", type=int, default=None,
-                     help="accepted and echoed in the report config; selects no code path "
-                          "(env EDVS_THREADS as fallback)")
     slv.add_argument("--compare-direct", action="store_true")
     slv.add_argument("--primal", default="none",
                      help="primal selection: none, minmult=K, or file=PATH")

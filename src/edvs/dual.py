@@ -1,10 +1,10 @@
-"""Matrix-free dual operator: per-subdomain slices plus a descendant exchange.
+"""Matrix-free dual operator: one block-diagonal split of the matrix in derived order.
 
 The dual of an original operator acts on continuous derived vectors by
 retracting, applying the original matrix, and injecting back.  Splitting the
-matrix into per-subdomain slices (each entry assigned to exactly one shared
-subdomain) turns the middle step into one block-diagonal multiply in derived
-order followed by one reduction over descendant groups.
+matrix by subdomain (each entry assigned to exactly one shared subdomain)
+turns the middle step into one block-diagonal multiply in derived order
+followed by one averaging over descendant groups (`project_continuous`).
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from .derived import (
     retract,
     retract_interface,
 )
-from .exceptions import ContinuityError, IncompleteExchangeError, LocalityError
+from .exceptions import ContinuityError, LocalityError
 from .ingest import DecompositionMap, OriginalMatrix
 
 
@@ -68,6 +68,58 @@ class SubdomainSlice:
     matrix: sp.csr_matrix    # (len(nodes)*d, len(nodes)*d)
 
 
+def _owner_split(matrix: OriginalMatrix, dm: DecompositionMap) -> sp.csr_matrix:
+    """The owner split as one block-diagonal matrix in derived order.
+
+    Each nonzero goes to the lowest-index subdomain shared by its node pair,
+    at the derived rows and columns of that subdomain's copies of the pair.
+    Derived order is by subdomain, then node, which is the column-major
+    order of the incidence matrix, so the derived position of (p, a) is
+    the rank of the key a*N + p among the incidence keys.  Requires
+    locality (every pair shares a subdomain).
+    """
+    d = matrix.block_dim
+    n = dm.n_nodes
+    coo = matrix.csr.tocoo()
+    shared = dm.shared_subdomains(coo.row // d, coo.col // d)
+    counts = np.diff(shared.indptr)
+    if not counts.all():
+        k = int(np.argmin(counts))
+        raise LocalityError(
+            f"entry ({coo.row[k] // d}, {coo.col[k] // d}) couples nodes with no shared subdomain"
+        )
+    # the first, hence lowest, shared subdomain, times N
+    owner_base = shared.indices[shared.indptr[:-1]].astype(np.int64) * n
+    del shared, counts  # freed before the index arrays are built: this keeps peak memory down
+    csc = dm.incidence.tocsc()  # row indices come out sorted within each column
+    key = np.repeat(np.arange(dm.n_subdomains, dtype=np.int64) * n, np.diff(csc.indptr))
+    key += csc.indices
+    size = len(key) * d
+
+    def derived_flat(flat):
+        pos = np.searchsorted(key, owner_base + flat // d)
+        pos *= d
+        pos += flat % d
+        return pos
+
+    rows = derived_flat(coo.row)
+    cols = derived_flat(coo.col)
+    local = sp.coo_matrix((coo.data, (rows, cols)), shape=(size, size)).tocsr()
+    local.sort_indices()
+    return local
+
+
+def _cut_slices(local: sp.csr_matrix, dm: DecompositionMap, d: int) -> tuple[SubdomainSlice, ...]:
+    """The per-subdomain slices: the diagonal blocks of `local`, one per subdomain."""
+    nodes = dm.subdomain_nodes
+    bounds = np.cumsum([0] + [len(g) * d for g in nodes]).tolist()
+    return tuple(
+        SubdomainSlice(subdomain=a, nodes=nodes[a],
+                       matrix=local[bounds[a]:bounds[a + 1], bounds[a]:bounds[a + 1]])
+        for a in range(dm.n_subdomains)
+    )
+
+
 def split_by_subdomain(matrix: OriginalMatrix, dm: DecompositionMap) -> list[SubdomainSlice]:
     """Assign each nonzero entry to the lowest-index subdomain shared by its node pair.
 
@@ -75,37 +127,7 @@ def split_by_subdomain(matrix: OriginalMatrix, dm: DecompositionMap) -> list[Sub
     same dual operator, so the deterministic lowest-index rule is chosen for
     reproducibility.  Requires locality (every pair shares a subdomain).
     """
-    d = matrix.block_dim
-    coo = matrix.csr.tocoo()
-    p_nodes = coo.row // d
-    q_nodes = coo.col // d
-    shared = dm.shared_subdomains(p_nodes, q_nodes)
-    counts = np.diff(shared.indptr)
-    if not counts.all():
-        k = int(np.argmin(counts))
-        raise LocalityError(
-            f"entry ({p_nodes[k]}, {q_nodes[k]}) couples nodes with no shared subdomain"
-        )
-    owner = shared.indices[shared.indptr[:-1]]  # the first, hence lowest, shared subdomain
-
-    # entries grouped by owner, in their original order within each group
-    order = np.argsort(owner, kind="stable")
-    bounds = np.searchsorted(owner[order], np.arange(dm.n_subdomains + 1))
-    slices = []
-    for a in range(dm.n_subdomains):
-        nodes = dm.subdomain_nodes[a]  # sorted, so a node's local rank is a binary search
-        mine = order[bounds[a]:bounds[a + 1]]
-        rows = np.searchsorted(nodes, p_nodes[mine])
-        cols = np.searchsorted(nodes, q_nodes[mine])
-        local_rows = rows * d + coo.row[mine] % d
-        local_cols = cols * d + coo.col[mine] % d
-        size = len(nodes) * d
-        local = sp.coo_matrix(
-            (coo.data[mine], (local_rows, local_cols)), shape=(size, size)
-        ).tocsr()
-        local.sort_indices()
-        slices.append(SubdomainSlice(subdomain=a, nodes=nodes, matrix=local))
-    return slices
+    return list(_cut_slices(_owner_split(matrix, dm), dm, matrix.block_dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,14 +143,8 @@ class DualOperator:
 
     @property
     def slices(self) -> tuple[SubdomainSlice, ...]:
-        """The per-subdomain slices, cut back out of the block-diagonal `local`."""
-        d = self.space.block_dim
-        nodes = self.space.decomposition.subdomain_nodes
-        return tuple(
-            SubdomainSlice(subdomain=a, nodes=nodes[a],
-                           matrix=self.local[start * d:stop * d, start * d:stop * d])
-            for a, (start, stop) in enumerate(self.space.subdomain_ranges)
-        )
+        """The per-subdomain slices, cut out of the block-diagonal `local`."""
+        return _cut_slices(self.local, self.space.decomposition, self.space.block_dim)
 
 
 def build_dual_operator(matrix: OriginalMatrix, ds: DerivedSpace) -> DualOperator:
@@ -136,38 +152,12 @@ def build_dual_operator(matrix: OriginalMatrix, ds: DerivedSpace) -> DualOperato
     d = matrix.block_dim
     if d != ds.block_dim:
         raise ValueError(f"matrix block_dim {d} does not match derived space {ds.block_dim}")
-    # the slices are freed before the 2x2 blocks are cut: this keeps peak memory down
-    local = sp.block_diag([s.matrix for s in split_by_subdomain(matrix, dm)], format="csr")
     return DualOperator(
         space=ds,
-        local=local,
+        local=_owner_split(matrix, dm),
         mult_flat=np.repeat(dm.multiplicity[ds.node_of].astype(np.float64), d),
         blocks=interface_blocks(matrix, dm),
     )
-
-
-def exchange(partials, ds: DerivedSpace) -> np.ndarray:
-    """Combine per-subdomain contributions into a continuous derived vector.
-
-    Each subdomain supplies values on its own derived slice; every descendant
-    group is then summed (ascending subdomain order) and averaged, and the
-    average is written to all members of the group.
-    """
-    if len(partials) != ds.decomposition.n_subdomains:
-        raise IncompleteExchangeError(
-            f"expected {ds.decomposition.n_subdomains} slices, got {len(partials)}"
-        )
-    d = ds.block_dim
-    for a, part in enumerate(partials):
-        if part is None:
-            raise IncompleteExchangeError(f"subdomain {a} contributed no slice")
-        start, stop = ds.subdomain_ranges[a]
-        if np.shape(part) != ((stop - start) * d,):
-            raise IncompleteExchangeError(
-                f"subdomain {a} slice has length {np.shape(part)}, expected {(stop - start) * d}"
-            )
-    stacked = np.concatenate(partials) if partials else np.zeros(0)
-    return project_continuous(stacked, ds)
 
 
 def apply_dual(
@@ -175,15 +165,13 @@ def apply_dual(
     u: np.ndarray,
     project: bool = False,
     continuity_tol: float = 1e-10,
-    threads: int = 1,
 ) -> np.ndarray:
     """Apply the dual operator to a continuous derived vector.
 
     Non-continuous input raises ContinuityError unless `project=True`, which
     first replaces u by its continuous part.  The local products are scaled by
     row multiplicity before the averaging so that descendant groups
-    accumulate the plain sum of slice contributions.  `threads` is accepted
-    for compatibility and selects nothing: the product is one sparse call.
+    accumulate the plain sum of slice contributions.
     """
     ds = op.space
     if u.shape != (ds.derived_flat_size,):
@@ -243,14 +231,10 @@ def apply_block(op: DualOperator, block: str, v: np.ndarray) -> np.ndarray:
 def slices_sum(op: DualOperator) -> sp.csr_matrix:
     """Reassemble the split slices into a global matrix (exactness check helper)."""
     ds = op.space
-    d = ds.block_dim
     n = ds.original_flat_size
-    total = sp.csr_matrix((n, n))
-    for s in op.slices:
-        gat = flat_block_indices(s.nodes, d)
-        coo = s.matrix.tocoo()
-        total = total + sp.coo_matrix(
-            (coo.data, (gat[coo.row], gat[coo.col])), shape=(n, n)
-        ).tocsr()
+    coo = op.local.tocoo()
+    total = sp.coo_matrix(
+        (coo.data, (ds.origin_flat[coo.row], ds.origin_flat[coo.col])), shape=(n, n)
+    ).tocsr()
     total.sort_indices()
     return total

@@ -27,10 +27,6 @@ class ContinuityError(EdvsError):
     """A derived vector required to be continuous is not."""
 
 
-class IncompleteExchangeError(EdvsError):
-    """A subdomain failed to contribute its slice to an exchange."""
-
-
 class InvalidPrimalError(EdvsError):
     """Primal selection named a node that is not an interface node."""
 

@@ -8,7 +8,6 @@ values, and certify the retracted solution against the original system.
 """
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -21,7 +20,6 @@ from .derived import (
     DerivedSpace,
     build_derived_space,
     flat_block_indices,
-    inject,
     inject_interface,
     inner_interface,
     norm_derived,
@@ -61,20 +59,17 @@ class SolveConfig:
     tol: float = 1e-10
     max_iters: int | None = None
     krylov: str = "cg"
-    threads: int | None = None   # validated and echoed in the report; selects no code path
     compare_direct: bool = False
     primal_min_multiplicity: int | None = None
     primal_nodes: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iters is not None and self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.krylov not in ("cg", "gmres"):
             raise ConfigError(f"krylov must be 'cg' or 'gmres', got {self.krylov!r}")
-        if self.threads is not None and self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
 
     def primal_label(self) -> str:
         if self.primal_min_multiplicity is not None:
@@ -103,29 +98,9 @@ class SolveReport:
 
 
 @dataclass(frozen=True, eq=False)
-class InteriorBlock:
-    """One subdomain's interior diagonal block: a view over the fused interior factor."""
-
-    subdomain: int
-    nodes: np.ndarray            # interior nodes owned by this subdomain, sorted
-    offsets: np.ndarray          # flat positions of those nodes in the sorted interior order
-    lu: object | None            # the factor of all of A_II; None when it is empty
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve this block alone: A_II is block-diagonal, so the other blocks read zero."""
-        if len(self.offsets) == 0:
-            return np.zeros(0)
-        full = np.zeros(self.lu.shape[0])
-        full[self.offsets] = rhs
-        return self.lu.solve(full)[self.offsets]
-
-
-@dataclass(frozen=True, eq=False)
 class InteriorFactorization:
-    """One sparse LU of the whole interior block A_II, with per-subdomain views."""
+    """One sparse LU of the whole interior block A_II."""
 
-    decomposition: DecompositionMap
-    block_dim: int
     lu: object | None            # None when there are no interior nodes
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -133,23 +108,6 @@ class InteriorFactorization:
         if self.lu is None:
             return np.zeros(0)
         return self.lu.solve(rhs)
-
-    @property
-    def blocks(self) -> tuple[InteriorBlock, ...]:
-        d = self.block_dim
-        return tuple(
-            InteriorBlock(subdomain=a, nodes=nodes, offsets=offsets, lu=self.lu)
-            for a, (nodes, offsets) in enumerate(_interior_by_subdomain(self.decomposition, d))
-        )
-
-
-def _interior_by_subdomain(dm: DecompositionMap, d: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per subdomain: its sorted interior nodes and their flat positions in A_II."""
-    groups = []
-    for nodes in dm.subdomain_nodes:
-        own = nodes[dm.multiplicity[nodes] == 1]
-        groups.append((own, flat_block_indices(np.searchsorted(dm.interior_nodes, own), d)))
-    return groups
 
 
 def _splu(csc: sp.csc_matrix):
@@ -174,27 +132,25 @@ def factor_interior(matrix: OriginalMatrix, dm: DecompositionMap,
     singular, the blocks are factored one at a time, the same way, to name
     the subdomain.
     """
-    d = matrix.block_dim
     csc = (interface_blocks(matrix, dm).ii if block_ii is None else block_ii).tocsc()
     if csc.shape[0] == 0:
-        return InteriorFactorization(decomposition=dm, block_dim=d, lu=None)
+        return InteriorFactorization(lu=None)
     try:
         lu = _splu(csc)
     except RuntimeError as fused_error:
-        for a, (_, offsets) in enumerate(_interior_by_subdomain(dm, d)):
-            if len(offsets) == 0:
+        for a, nodes in enumerate(dm.subdomain_nodes):
+            own = nodes[dm.multiplicity[nodes] == 1]
+            if len(own) == 0:
                 continue
+            # flat positions of this subdomain's interior nodes in A_II
+            offsets = flat_block_indices(np.searchsorted(dm.interior_nodes, own),
+                                         matrix.block_dim)
             try:
                 _splu(csc[np.ix_(offsets, offsets)].tocsc())
             except RuntimeError as e:
                 raise SingularInteriorError(a, f"interior block of subdomain {a}: {e}") from e
         raise SingularInteriorError(None, f"interior block A_II: {fused_error}") from fused_error
-    return InteriorFactorization(decomposition=dm, block_dim=d, lu=lu)
-
-
-def assemble_dual_rhs(f_hat: np.ndarray, ds: DerivedSpace) -> np.ndarray:
-    """Lift the original right-hand side into the derived space (dual of itself)."""
-    return inject(f_hat, ds)
+    return InteriorFactorization(lu=lu)
 
 
 @dataclass
@@ -204,7 +160,6 @@ class SolverState:
     problem: ProblemInstance
     space: DerivedSpace
     blocks: InterfaceBlocks     # A_II, A_IG, A_GI, A_GG in sorted interior / interface order
-    threads: int = 1            # echoed in the report; selects no code path
     interior: InteriorFactorization | None = None
     continuity_projections: int = 0
 
@@ -219,15 +174,7 @@ def _build_state(problem: ProblemInstance, cfg: SolveConfig) -> SolverState:
         primal_min_multiplicity=cfg.primal_min_multiplicity,
         primal_nodes=cfg.primal_nodes,
     )
-    threads = cfg.threads if cfg.threads is not None else min(
-        os.cpu_count() or 1, max(dm.n_subdomains, 1)
-    )
-    return SolverState(
-        problem=problem,
-        space=ds,
-        blocks=interface_blocks(matrix, dm),
-        threads=threads,
-    )
+    return SolverState(problem=problem, space=ds, blocks=interface_blocks(matrix, dm))
 
 
 def _factor(state: SolverState) -> InteriorFactorization:
@@ -483,7 +430,6 @@ def solve_dvs(problem: ProblemInstance, cfg: SolveConfig | None = None):
         "tol": cfg.tol,
         "max_iters": cfg.max_iters,
         "krylov": cfg.krylov,
-        "threads": cfg.threads,
         "compare_direct": cfg.compare_direct,
         "primal": cfg.primal_label(),
     }
@@ -494,7 +440,6 @@ def solve_dvs(problem: ProblemInstance, cfg: SolveConfig | None = None):
             raise ConfigError("cg requires a symmetric matrix; use krylov='gmres'")
         state = _build_state(problem, cfg)
         ds = state.space
-        report.config["threads"] = state.threads
         report.config["max_iters"] = (
             cfg.max_iters if cfg.max_iters is not None
             else max(10 * len(ds.gamma_nodes) * ds.block_dim, 10)

@@ -215,7 +215,7 @@ def test_criterion_7_cg_finite_termination():
                f"(continuous interface dimension {dim})")
 
 
-def test_criterion_8_thread_determinism(tmp_path):
+def test_criterion_8_thread_determinism(tmp_path, monkeypatch):
     result = run_cli(
         ["generate", "poisson2d", "--nx", "9", "--ny", "9", "--boxes", "2x2",
          "--out-prefix", "det"],
@@ -224,9 +224,11 @@ def test_criterion_8_thread_determinism(tmp_path):
     assert result.returncode == 0, result.stderr
     reports = []
     for threads, out in (("1", "sol1.txt"), ("4", "sol4.txt")):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, threads)
         result = run_cli(
             ["solve", "--matrix", "det.mtx", "--partition", "det.part",
-             "--rhs", "det.rhs", "--threads", threads, "--out", out],
+             "--rhs", "det.rhs", "--out", out],
             cwd=tmp_path,
         )
         assert result.returncode == 0, result.stderr

@@ -96,7 +96,7 @@ class TestSolve:
     def test_golden_report_schema(self, generated_1d):
         result = run_cli(
             ["solve", "--matrix", "p1.mtx", "--partition", "p1.part",
-             "--rhs", "p1.rhs", "--threads", "2"],
+             "--rhs", "p1.rhs"],
             cwd=generated_1d,
         )
         report = json.loads(result.stdout)
@@ -147,6 +147,18 @@ class TestSolve:
         )
         assert result.returncode == 1
         assert "error:" in result.stderr and "2.7" in result.stderr
+        assert result.stdout.strip() == ""
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exit_1_without_json(self, generated_1d, tol):
+        result = run_cli(
+            ["solve", "--matrix", "p1.mtx", "--partition", "p1.part", "--rhs", "p1.rhs",
+             "--tol", tol],
+            cwd=generated_1d,
+        )
+        assert result.returncode == 1
+        assert "error:" in result.stderr and "tol" in result.stderr
+        assert "Traceback" not in result.stderr
         assert result.stdout.strip() == ""
 
     def test_gmres_breakdown_exit_2_with_report(self, tmp_path):

@@ -15,11 +15,10 @@ from edvs.dual import (
     apply_block,
     apply_dual,
     build_dual_operator,
-    exchange,
     slices_sum,
     split_by_subdomain,
 )
-from edvs.exceptions import ContinuityError, IncompleteExchangeError, LocalityError
+from edvs.exceptions import ContinuityError, LocalityError
 from edvs.ingest import (
     DecompositionMap,
     OriginalMatrix,
@@ -80,6 +79,49 @@ class TestSplit:
             split_by_subdomain(generate_poisson_1d(5), dm)
 
 
+def reference_local(matrix, dm):
+    """Brute force: per-subdomain slices filled entry by entry, stacked block-diagonally."""
+    d = matrix.block_dim
+    members = [set(m) for m in dm.memberships]
+    blocks = [np.zeros((len(g) * d, len(g) * d)) for g in dm.subdomain_nodes]
+    coo = matrix.csr.tocoo()
+    for r, c, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
+        p, q = r // d, c // d
+        a = min(members[p] & members[q])
+        rank = {int(node): k for k, node in enumerate(dm.subdomain_nodes[a])}
+        blocks[a][rank[p] * d + r % d, rank[q] * d + c % d] += v
+    return sp.block_diag([sp.csr_matrix(b) for b in blocks], format="csr")
+
+
+def with_empty_subdomain(dm):
+    """The same memberships with an empty subdomain 1 inserted (ids >= 1 shift up by one)."""
+    return DecompositionMap.from_memberships(
+        [tuple(a + (a >= 1) for a in m) for m in dm.memberships],
+        n_subdomains=dm.n_subdomains + 1,
+    )
+
+
+class TestOwnerSplitPlacement:
+    @settings(max_examples=60, deadline=None)
+    @given(problem=local_problems())
+    def test_local_matches_brute_force(self, problem):
+        matrix = problem.matrix
+        for dm in (problem.decomposition, with_empty_subdomain(problem.decomposition)):
+            ds = build_derived_space(dm, block_dim=matrix.block_dim)
+            op = build_dual_operator(matrix, ds)
+            assert op.local.shape == (ds.derived_flat_size, ds.derived_flat_size)
+            assert (op.local != reference_local(matrix, dm)).nnz == 0
+            total = slices_sum(op)
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(total, part), getattr(matrix.csr, part))
+            slices = split_by_subdomain(matrix, dm)
+            assert len(slices) == len(op.slices) == dm.n_subdomains
+            for s, ref in zip(slices, op.slices):
+                assert s.subdomain == ref.subdomain
+                assert np.array_equal(s.nodes, ref.nodes)
+                assert (s.matrix != ref.matrix).nnz == 0
+
+
 class TestApplyDual:
     def test_unit_vector_oracle(self, op_1d5):
         # frozen from the dense oracle: column of the tridiagonal matrix at the
@@ -134,11 +176,6 @@ class TestApplyDual:
             got = apply_dual(op, u)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
-    def test_thread_count_bit_exact(self, problem_2d, rng):
-        _, _, ds, op = problem_2d
-        u = inject(rng.standard_normal(25), ds)
-        assert np.array_equal(apply_dual(op, u, threads=1), apply_dual(op, u, threads=4))
-
 
 class TestApplyBlock:
     def test_interior_block_matches_original(self, op_1d5):
@@ -172,30 +209,6 @@ class TestApplyBlock:
     def test_shape_mismatch(self, op_1d5):
         with pytest.raises(ValueError):
             apply_block(op_1d5, "II", np.zeros(6))
-
-
-class TestExchange:
-    def test_average_within_group(self, op_1d5):
-        ds = op_1d5.space
-        out = exchange([np.array([0.0, 0.0, 2.0]), np.array([4.0, 0.0, 0.0])], ds)
-        assert out[2] == out[3] == 3.0
-
-    def test_single_membership_passthrough(self, op_1d5):
-        ds = op_1d5.space
-        out = exchange([np.array([5.0, 0.0, 0.0]), np.zeros(3)], ds)
-        assert out[0] == 5.0
-
-    def test_zero_contributions(self, op_1d5):
-        assert np.all(exchange([np.zeros(3), np.zeros(3)], op_1d5.space) == 0.0)
-
-    def test_missing_slice_errors(self, op_1d5):
-        ds = op_1d5.space
-        with pytest.raises(IncompleteExchangeError):
-            exchange([np.zeros(3)], ds)
-        with pytest.raises(IncompleteExchangeError):
-            exchange([np.zeros(3), None], ds)
-        with pytest.raises(IncompleteExchangeError):
-            exchange([np.zeros(3), np.zeros(2)], ds)
 
 
 class TestInteriorBlockDiagonality:

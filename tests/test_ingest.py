@@ -263,6 +263,30 @@ class TestGenerators:
         ingest.write_vector(v, path)
         assert np.array_equal(ingest.load_vector(path), v)
 
+    @pytest.mark.parametrize("values", [
+        np.random.default_rng(3).standard_normal(200) * 10.0 ** np.arange(-100, 100),
+        np.array([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e16, -1.5]),
+        np.zeros(0),
+    ], ids=["random", "signed-zero-subnormal", "empty"])
+    def test_written_bytes_match_one_repr_per_line(self, tmp_path, values):
+        path = tmp_path / "v.rhs"
+        ingest.write_vector(values, path)
+        want = "".join(f"{float(v)!r}\n" for v in values)
+        assert path.read_bytes() == want.encode()
+
+    def test_written_matrix_bytes_match_one_repr_per_entry(self, tmp_path):
+        rng = np.random.default_rng(5)
+        csr = sp.random(30, 30, density=0.2, random_state=rng, format="csr")
+        csr.data[:3] = [-0.0, 5e-324, 1e300]
+        path = tmp_path / "m.mtx"
+        ingest.write_matrix(ingest.OriginalMatrix(csr=csr), path)
+        coo = csr.tocoo()
+        order = np.lexsort((coo.col, coo.row))
+        want = f"%%MatrixMarket matrix coordinate real general\n30 30 {coo.nnz}\n"
+        want += "".join(f"{coo.row[k] + 1} {coo.col[k] + 1} {float(coo.data[k])!r}\n"
+                        for k in order)
+        assert path.read_bytes() == want.encode()
+
 
 class TestProblemInstance:
     @pytest.mark.parametrize("where", ["rhs", "matrix"])
