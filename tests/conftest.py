@@ -70,6 +70,14 @@ def local_problems(draw):
     return ingest.ProblemInstance(matrix=matrix, rhs=rhs, decomposition=dm)
 
 
+def with_empty_subdomain(dm):
+    """The same memberships with an empty subdomain 1 inserted (ids >= 1 shift up by one)."""
+    return ingest.DecompositionMap.from_memberships(
+        [tuple(a + (a >= 1) for a in m) for m in dm.memberships],
+        n_subdomains=dm.n_subdomains + 1,
+    )
+
+
 @pytest.fixture
 def problem_1d5():
     """The 5-node tridiagonal case split in two subdomains sharing node 2."""

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 
-from conftest import local_problems
+from conftest import local_problems, with_empty_subdomain
 from edvs.derived import (
     build_derived_space,
     inject,
@@ -91,14 +91,6 @@ def reference_local(matrix, dm):
         rank = {int(node): k for k, node in enumerate(dm.subdomain_nodes[a])}
         blocks[a][rank[p] * d + r % d, rank[q] * d + c % d] += v
     return sp.block_diag([sp.csr_matrix(b) for b in blocks], format="csr")
-
-
-def with_empty_subdomain(dm):
-    """The same memberships with an empty subdomain 1 inserted (ids >= 1 shift up by one)."""
-    return DecompositionMap.from_memberships(
-        [tuple(a + (a >= 1) for a in m) for m in dm.memberships],
-        n_subdomains=dm.n_subdomains + 1,
-    )
 
 
 class TestOwnerSplitPlacement:

@@ -1,10 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import local_problems, make_problem_1d, make_problem_2d
+from conftest import (
+    local_problems,
+    make_problem_1d,
+    make_problem_2d,
+    run_cli,
+    with_empty_subdomain,
+)
 from edvs.derived import (
     flat_block_indices,
     inject,
@@ -20,12 +29,14 @@ from edvs.ingest import (
     ProblemInstance,
     generate_box_partition,
     generate_poisson_1d,
+    write_vector,
 )
 from edvs.schur import IndexSplit, schur_complement
 from edvs.solver import (
     SolveConfig,
     apply_interface_operator,
     back_substitute,
+    build_coarse_space,
     factor_interior,
     interface_rhs,
     setup_solver,
@@ -181,11 +192,12 @@ class TestInterfaceOperator:
 
 
 class TestSolveInterface:
-    def test_single_interface_node_one_iteration(self, state_1d5):
+    def test_single_interface_node_solved_by_coarse_space(self, state_1d5):
+        # the coarse space spans the one-node interface: exact before any Krylov step
         g = interface_rhs(state_1d5)
         assert np.allclose(g, [1.0, 1.0])
         u_gamma, history, iters = solve_interface(state_1d5, g, SolveConfig())
-        assert iters == 1
+        assert iters == 0 and history == []
         assert np.allclose(u_gamma, [1.5, 1.5], atol=1e-12)
 
     def test_zero_rhs(self, state_1d5):
@@ -212,6 +224,84 @@ class TestSolveInterface:
         u_cg, _, _ = solve_interface(state_2d55, g, SolveConfig(krylov="cg"))
         u_gm, _, _ = solve_interface(state_2d55, g, SolveConfig(krylov="gmres"))
         assert np.allclose(u_cg, u_gm, atol=1e-8)
+
+
+def block_problem_2d(n, boxes):
+    """2D Poisson with two coupled components per node (block_dim 2)."""
+    base = make_problem_2d(n, n, boxes, boxes)
+    csr = sp.kron(base.matrix.csr, sp.csr_matrix([[2.0, -0.5], [-0.5, 3.0]]), format="csr")
+    matrix = OriginalMatrix(csr=csr, block_dim=2, symmetric=True)
+    rhs = np.random.default_rng(2).standard_normal(csr.shape[0])
+    return ProblemInstance(matrix=matrix, rhs=rhs, decomposition=base.decomposition)
+
+
+def assert_coarse_space_matches_dense_oracle(problem):
+    """Kept columns span Z; S Z and the factor of Z' S Z agree with the dense Schur complement."""
+    dm = problem.decomposition
+    d = problem.matrix.block_dim
+    coarse = build_coarse_space(setup_solver(problem, SolveConfig()))
+    gamma = dm.interface_nodes
+    z_ref = np.kron(dm.incidence[gamma].toarray() / dm.multiplicity[gamma, None], np.eye(d))
+    z = coarse.z.toarray()
+    rank = np.linalg.matrix_rank(z_ref)
+    assert z.shape[1] == rank == np.linalg.matrix_rank(np.hstack([z_ref, z]))
+    sigma = dense_interface_operator(problem)
+    scale = max(np.abs(sigma).max(), 1.0)
+    assert np.abs(coarse.sz_t.T.toarray() - sigma @ z).max() <= 1e-12 * scale
+    e = z.T @ sigma @ z
+    assert np.abs(coarse.factor.T @ coarse.factor - e).max() <= 1e-12 * scale
+    assert np.array_equal(coarse.factor, np.triu(coarse.factor))
+
+
+def seeded_solve(n, boxes, **cfg):
+    rhs = np.random.default_rng(20261018).standard_normal(n * n)
+    return solve_dvs(make_problem_2d(n, n, boxes, boxes, rhs=rhs), SolveConfig(**cfg))
+
+
+class TestCoarseSpace:
+    @pytest.mark.parametrize("problem", [make_problem_1d(17, 4), make_problem_2d(9, 9, 2, 2),
+                                         make_problem_2d(17, 17, 4, 4), block_problem_2d(17, 4)],
+                             ids=["1d17x4", "2d9x2", "2d17x4", "2d17x4_d2"])
+    def test_matches_dense_oracle(self, problem):
+        # 17^2 / 4x4 boxes: E is singular (the checkerboard), rank 15 of 16
+        assert_coarse_space_matches_dense_oracle(problem)
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=local_problems(), empty=st.booleans())
+    def test_deflated_solve_matches_direct_on_random_partitions(self, problem, empty):
+        # multiplicity 3, a subdomain without interior, block_dim 1 and 2, and
+        # with `empty` a subdomain without nodes: a zero column of Z
+        if empty:
+            problem = ProblemInstance(matrix=problem.matrix, rhs=problem.rhs,
+                                      decomposition=with_empty_subdomain(problem.decomposition))
+        assert_coarse_space_matches_dense_oracle(problem)
+        _, report = solve_dvs(problem, SolveConfig(compare_direct=True))
+        assert report.converged
+        assert report.relative_error_vs_direct <= 1e-8
+
+    def test_iterations_flat_in_subdomain_count(self):
+        # H/h = 8 in both: 4x4 and 16x16 boxes take 38 and 44; undeflated CG took 54 and 190
+        _, coarse = seeded_solve(33, 4)
+        _, fine = seeded_solve(129, 16)
+        assert fine.iterations <= 1.25 * coarse.iterations
+
+    def test_bit_identical_across_blas_threads_16x16(self, tmp_path, monkeypatch):
+        # E is 256 x 256: its factor and solves must not depend on the BLAS thread count
+        result = run_cli(["generate", "poisson2d", "--nx", "65", "--ny", "65", "--boxes", "16x16",
+                          "--out-prefix", "det"], cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        write_vector(np.random.default_rng(11).standard_normal(65 * 65), tmp_path / "det.rhs")
+        reports = []
+        for threads in ("1", "2"):
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                monkeypatch.setenv(var, threads)
+            result = run_cli(["solve", "--matrix", "det.mtx", "--partition", "det.part",
+                              "--rhs", "det.rhs", "--out", f"sol{threads}.txt"], cwd=tmp_path)
+            assert result.returncode == 0, result.stderr
+            reports.append(json.loads(result.stdout))
+        assert reports[0]["iterations"] > 0
+        assert reports[0]["residual_history"] == reports[1]["residual_history"]
+        assert (tmp_path / "sol1.txt").read_bytes() == (tmp_path / "sol2.txt").read_bytes()
 
 
 class TestBackSubstitute:
