@@ -14,6 +14,7 @@ from conftest import (
     run_cli,
     with_empty_subdomain,
 )
+from edvs import solver
 from edvs.derived import (
     flat_block_indices,
     inject,
@@ -34,11 +35,15 @@ from edvs.ingest import (
 from edvs.schur import IndexSplit, schur_complement
 from edvs.solver import (
     SolveConfig,
+    _distance2_colours,
     apply_interface_operator,
     back_substitute,
     build_coarse_space,
+    dominant_symmetric_part,
     factor_interior,
     interface_rhs,
+    probe_interface_operator,
+    probe_pattern,
     setup_solver,
     solve_dvs,
     solve_interface,
@@ -191,6 +196,18 @@ class TestInterfaceOperator:
         assert np.allclose(out, apply_interface_operator(state_1d5, np.ones(2)), atol=1e-14)
 
 
+class CountingInterior:
+    """An interior factorization that counts its solves."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def solve(self, rhs):
+        self.calls += 1
+        return self.inner.solve(rhs)
+
+
 class TestSolveInterface:
     def test_single_interface_node_solved_by_coarse_space(self, state_1d5):
         # the coarse space spans the one-node interface: exact before any Krylov step
@@ -201,9 +218,22 @@ class TestSolveInterface:
         assert np.allclose(u_gamma, [1.5, 1.5], atol=1e-12)
 
     def test_zero_rhs(self, state_1d5):
+        # neither the coarse space nor the preconditioner is built: no interior solve
+        state_1d5.interior = CountingInterior(state_1d5.interior)
         u_gamma, history, iters = solve_interface(state_1d5, np.zeros(2), SolveConfig())
         assert iters == 0 and history == []
         assert np.all(u_gamma == 0.0)
+        assert state_1d5.interior.calls == 0
+        solve_interface(state_1d5, np.ones(2), SolveConfig())
+        assert state_1d5.interior.calls > 0
+
+    def test_coarse_solve_alone_builds_no_preconditioner(self, state_1d5, monkeypatch):
+        def refuse(state):
+            raise AssertionError("the preconditioner was built")
+
+        monkeypatch.setattr(solver, "build_preconditioner", refuse)
+        _, history, iters = solve_interface(state_1d5, interface_rhs(state_1d5), SolveConfig())
+        assert iters == 0 and history == []
 
     def test_cg_finite_termination_2d(self, state_2d55):
         g = interface_rhs(state_2d55)
@@ -280,7 +310,8 @@ class TestCoarseSpace:
         assert report.relative_error_vs_direct <= 1e-8
 
     def test_iterations_flat_in_subdomain_count(self):
-        # H/h = 8 in both: 4x4 and 16x16 boxes take 38 and 44; undeflated CG took 54 and 190
+        # H/h = 8 in both: 4x4 and 16x16 boxes take 18 and 22 (38 and 44 deflated
+        # without the probe; undeflated, unpreconditioned CG took 54 and 190)
         _, coarse = seeded_solve(33, 4)
         _, fine = seeded_solve(129, 16)
         assert fine.iterations <= 1.25 * coarse.iterations
@@ -302,6 +333,148 @@ class TestCoarseSpace:
         assert reports[0]["iterations"] > 0
         assert reports[0]["residual_history"] == reports[1]["residual_history"]
         assert (tmp_path / "sol1.txt").read_bytes() == (tmp_path / "sol2.txt").read_bytes()
+
+
+def reference_distance2_colours(pattern):
+    """The greedy first-fit colouring written with numpy slices, as the reference."""
+    reach = (pattern @ pattern).tocsr()
+    colours = np.full(pattern.shape[0], -1)
+    for a in range(len(colours)):
+        taken = set(colours[reach.indices[reach.indptr[a]:reach.indptr[a + 1]]].tolist())
+        colours[a] = next(c for c in range(len(colours) + 1) if c not in taken)
+    return colours
+
+
+def subdomain_adjacency(dm):
+    return (dm.incidence.T @ dm.incidence.astype(np.float64)).tocsr()
+
+
+def assert_rows_hold_distinct_colours(pattern, colours):
+    for i in range(pattern.shape[0]):
+        row = colours[pattern.indices[pattern.indptr[i]:pattern.indptr[i + 1]]]
+        assert len(np.unique(row)) == len(row)
+
+
+def assert_colourings_match_reference(problem):
+    """The coarse space colours subdomains, the probe colours interface nodes."""
+    state = setup_solver(problem, SolveConfig())
+    for pattern in (subdomain_adjacency(problem.decomposition), probe_pattern(state)):
+        colours = _distance2_colours(pattern)
+        assert np.array_equal(colours, reference_distance2_colours(pattern))
+        assert_rows_hold_distinct_colours(pattern, colours)
+
+
+class TestColouring:
+    @pytest.mark.parametrize("shape", [(17, 4), (65, 8), (129, 16)], ids=["17x4", "65x8", "129x16"])
+    def test_matches_reference_and_separates_every_row(self, shape):
+        n, boxes = shape
+        assert_colourings_match_reference(make_problem_2d(n, n, boxes, boxes))
+
+    @settings(max_examples=30, deadline=None)
+    @given(problem=local_problems())
+    def test_separates_every_row_on_random_partitions(self, problem):
+        assert_colourings_match_reference(problem)
+
+
+def heterogeneous_problem_2d(n, boxes, seed=7):
+    """n x n Dirichlet Laplacian with seeded log-uniform edge weights in [1e-3, 1e3]."""
+    diff = sp.diags([np.ones(n), -np.ones(n)], [0, -1], shape=(n + 1, n))
+    grad = sp.vstack([sp.kron(sp.identity(n), diff), sp.kron(diff, sp.identity(n))])
+    weights = 10.0 ** np.random.default_rng(seed).uniform(-3.0, 3.0, grad.shape[0])
+    csr = (grad.T @ sp.diags(weights) @ grad).tocsr()
+    csr.sort_indices()
+    matrix = OriginalMatrix(csr=csr, symmetric=True)
+    rhs = np.random.default_rng(seed + 1).standard_normal(n * n)
+    return ProblemInstance(matrix=matrix, rhs=rhs,
+                           decomposition=generate_box_partition(n, n, boxes, boxes))
+
+
+def assert_probe_matches_dense_oracle(problem):
+    """Probed entries are the colour sums of the dense Schur complement, on the pattern."""
+    d = problem.matrix.block_dim
+    state = setup_solver(problem, SolveConfig())
+    pattern = probe_pattern(state)
+    # the node-level pattern of A_GG^2, with the diagonal
+    gamma = flat_block_indices(problem.decomposition.interface_nodes, d)
+    a_gg = np.abs(problem.matrix.csr.toarray()[np.ix_(gamma, gamma)])
+    nodes = len(problem.decomposition.interface_nodes)
+    one_step = a_gg.reshape(nodes, d, nodes, d).sum(axis=(1, 3)) + np.eye(nodes)
+    assert np.array_equal(pattern.toarray() != 0, one_step @ one_step > 0)
+    colours = _distance2_colours(pattern)
+    assert_rows_hold_distinct_colours(pattern, colours)
+    sigma = dense_interface_operator(problem)
+    # columns of sigma summed over each colour, per component
+    sums = sigma @ np.kron(np.eye(colours.max() + 1)[colours], np.eye(d))
+    mask = np.kron(pattern.toarray(), np.ones((d, d))) > 0
+    expected = np.where(mask, sums[:, np.kron(colours, np.ones(d, int)) * d
+                                   + np.tile(np.arange(d), len(colours))], 0.0)
+    got = probe_interface_operator(state)
+    assert np.all(got.toarray()[~mask] == 0.0)
+    assert np.abs(got.toarray() - expected).max() <= 1e-12 * max(np.abs(sigma).max(), 1.0)
+
+
+class TestProbe:
+    @pytest.mark.parametrize("problem", [make_problem_1d(17, 4), make_problem_2d(17, 17, 4, 4),
+                                         block_problem_2d(17, 4)],
+                             ids=["1d17x4", "2d17x4", "2d17x4_d2"])
+    def test_matches_dense_oracle(self, problem):
+        assert_probe_matches_dense_oracle(problem)
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=local_problems(), empty=st.booleans())
+    def test_matches_dense_oracle_on_random_partitions(self, problem, empty):
+        # multiplicity 3, a subdomain without interior, block_dim 1 and 2, and
+        # with `empty` a subdomain without nodes
+        if empty:
+            problem = ProblemInstance(matrix=problem.matrix, rhs=problem.rhs,
+                                      decomposition=with_empty_subdomain(problem.decomposition))
+        assert_probe_matches_dense_oracle(problem)
+
+    def test_halves_iterations(self, monkeypatch):
+        # 129^2 / 16x16 boxes, the many-small shape: 44 iterations without the probe
+        _, probed = seeded_solve(129, 16)
+        assert probed.iterations <= 25
+        # M = I leaves deflated CG unpreconditioned
+        monkeypatch.setattr(solver, "build_preconditioner", lambda state: lambda r: r)
+        _, plain = seeded_solve(129, 16)
+        assert plain.iterations >= 1.6 * probed.iterations
+
+    def test_raised_diagonal_makes_heterogeneous_probe_spd(self):
+        # with coefficients 1e-3 .. 1e3 the symmetrized probe is indefinite; the raise fixes it
+        problem = heterogeneous_problem_2d(33, 4)
+        state = setup_solver(problem, SolveConfig())
+        raw = probe_interface_operator(state)
+        assert np.linalg.eigvalsh(((raw + raw.T) / 2).toarray())[0] < 0
+        m = dominant_symmetric_part(raw)
+        assert abs(m - m.T).max() == 0.0
+        assert np.linalg.eigvalsh(m.toarray())[0] > 0
+        _, report = solve_dvs(problem, SolveConfig(compare_direct=True))
+        assert report.converged
+        assert report.relative_error_vs_direct <= 1e-8
+
+    def test_dominance_keeps_qualifying_rows(self):
+        m = sp.csr_matrix(np.array([[4.0, -1.0, 0.0, 0.0], [-3.0, 2.0, 1.0, 0.0],
+                                    [0.0, 1.0, -0.5, 0.0], [0.0, 0.0, 0.0, 0.0]]))
+        got = dominant_symmetric_part(m).toarray()
+        sym = (m.toarray() + m.toarray().T) / 2
+        assert np.array_equal(got - np.diag(got.diagonal()), sym - np.diag(sym.diagonal()))
+        assert got[0, 0] == 4.0                        # 4 > 2: kept
+        assert 3.0 < got[1, 1] <= 3.0 * (1 + 1e-6)    # 2 <= 2 + 1: raised just past its row
+        assert 1.0 < got[2, 2] <= 1.0 + 1e-6           # -0.5: raised just past its row
+        assert got[3, 3] == 4.0                        # nothing off the diagonal: the largest
+        assert np.linalg.eigvalsh(got)[0] > 0
+
+    def test_indefinite_preconditioner_raises_typed_breakdown(self, monkeypatch):
+        def indefinite(m):
+            signs = -np.ones(m.shape[0])
+            signs[0] = 1.0
+            return sp.diags(signs, format="csr")
+
+        monkeypatch.setattr(solver, "dominant_symmetric_part", indefinite)
+        with pytest.raises(ConvergenceError, match="breakdown.*preconditioner") as err:
+            solve_dvs(make_problem_2d(17, 17, 4, 4), SolveConfig())
+        assert err.value.phase == "interface"
+        assert err.value.report is not None and not err.value.report.converged
 
 
 class TestBackSubstitute:
