@@ -33,6 +33,7 @@ class DecompositionMap:
     Attributes:
         memberships: per node, the sorted tuple of subdomains whose closure contains it.
         multiplicity: per node, the number of such subdomains (length of the tuple).
+        home: per node, the first of its subdomains.
         interior_nodes / interface_nodes: sorted node ids with multiplicity == 1 / > 1.
         subdomain_nodes: per subdomain, the sorted array of member nodes.
     """
@@ -56,6 +57,11 @@ class DecompositionMap:
     @functools.cached_property
     def multiplicity(self) -> np.ndarray:
         return np.diff(self.incidence.indptr).astype(np.int64)
+
+    @functools.cached_property
+    def home(self) -> np.ndarray:
+        """Per node, its lowest subdomain: for an interior node, its only one."""
+        return self.incidence.indices[self.incidence.indptr[:-1]]
 
     @functools.cached_property
     def interior_nodes(self) -> np.ndarray:
@@ -512,7 +518,16 @@ def validate_locality(matrix: OriginalMatrix, dm: DecompositionMap) -> LocalityR
     if matrix.n_nodes != dm.n_nodes:
         raise ValueError(f"matrix has {matrix.n_nodes} nodes, partition {dm.n_nodes}")
     p, q = node_pairs(matrix)
-    bad = np.flatnonzero(dm.shared_subdomains(p, q).getnnz(axis=1) == 0)
+    # an interior node's home, -1 on the interface: two interior nodes share a
+    # subdomain exactly when their homes agree, so only pairs with an
+    # interface node need their incidence rows intersected
+    home = np.where(dm.multiplicity == 1, dm.home, -1)
+    hp, hq = home[p], home[q]
+    both = (hp >= 0) & (hq >= 0)
+    violates = both & (hp != hq)
+    rest = np.flatnonzero(~both)
+    violates[rest[dm.shared_subdomains(p[rest], q[rest]).getnnz(axis=1) == 0]] = True
+    bad = np.flatnonzero(violates)
     shown = bad[:20]
     return LocalityReport(
         ok=bad.size == 0,
@@ -529,8 +544,7 @@ def interior_coupling_violations(matrix: OriginalMatrix, dm: DecompositionMap) -
     """
     p, q = node_pairs(matrix)
     interior = dm.multiplicity == 1
-    home = dm.incidence.indices[dm.incidence.indptr[:-1]]  # an interior node's only subdomain
-    bad = interior[p] & interior[q] & (home[p] != home[q])
+    bad = interior[p] & interior[q] & (dm.home[p] != dm.home[q])
     return list(zip(p[bad].tolist(), q[bad].tolist()))
 
 

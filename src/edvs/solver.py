@@ -125,6 +125,10 @@ class InteriorFactorization:
         return self.lu.solve(rhs)
 
 
+# SuperLU's panel width, in columns; see `_splu`
+_PANEL_SIZE = 2
+
+
 def _splu(csc: sp.csc_matrix):
     """Sparse LU of `csc` with a minimum-degree ordering of A^T + A.
 
@@ -133,8 +137,16 @@ def _splu(csc: sp.csc_matrix):
     so threshold partial pivoting is kept; a lower threshold would accept a
     tiny diagonal pivot.  On strongly nonsymmetric input off-diagonal pivots
     defeat the symmetric ordering and fill grows; see ROADMAP.md.
+
+    Columns are updated in panels of 2, not SuperLU's default of about 20.
+    Minimum-degree orderings of 2D subdomain blocks give small supernodes,
+    and a wide panel spends more on them than it saves: the `A_II` factor of
+    2D Poisson takes 25-45% less time, with the same L+U and the same solve
+    time.  On a large 3D block a wide panel pays, and panel size 2 costs
+    a fifth to a quarter more there; ROADMAP.md has the numbers.
     """
-    return spla.splu(csc, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+    return spla.splu(csc, permc_spec="MMD_AT_PLUS_A", panel_size=_PANEL_SIZE,
+                     options=dict(SymmetricMode=True))
 
 
 def factor_interior(matrix: OriginalMatrix, dm: DecompositionMap,
@@ -322,7 +334,7 @@ def build_coarse_space(state: SolverState) -> CoarseSpace:
     colours = _distance2_colours(adjacency)
     # the interior flat entries A_GI reads, and the home subdomain of each
     coupled = np.flatnonzero(np.diff(b.gi.tocsc().indptr))
-    home = dm.incidence.indices[dm.incidence.indptr[ds.interior_nodes[coupled // d]]]
+    home = dm.home[ds.interior_nodes[coupled // d]]
     sz = b.gg @ z
     for c in range(colours.max() + 1):
         members = np.flatnonzero(colours == c)

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -34,6 +35,29 @@ def make_problem_2d(nx, ny, bx, by, rhs=None):
     if rhs is None:
         rhs = np.ones(nx * ny)
     return ingest.ProblemInstance(matrix=matrix, rhs=np.asarray(rhs, float), decomposition=dm)
+
+
+def make_problem_3d(n, boxes):
+    """7-point Laplacian with rhs = 1 on an n^3 grid, split into boxes^3 closed boxes.
+
+    A node on a cut plane belongs to every touching box, so a node where
+    three cut planes cross has multiplicity 8.
+    """
+    line = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
+    eye = sp.identity(n)
+    csr = (sp.kron(sp.kron(line, eye), eye) + sp.kron(sp.kron(eye, line), eye)
+           + sp.kron(sp.kron(eye, eye), line)).tocsr()
+    matrix = ingest.OriginalMatrix(csr=csr, block_dim=1, symmetric=True)
+    cuts = np.linspace(0, n - 1, boxes + 1).round().astype(np.int64)
+    spans = [np.arange(lo, hi + 1) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    nodes, subdomains = [], []
+    for a, (zs, ys, xs) in enumerate(itertools.product(spans, repeat=3)):
+        block = ((zs[:, None, None] * n + ys[None, :, None]) * n + xs[None, None, :]).ravel()
+        nodes.append(block)
+        subdomains.append(np.full(block.size, a))
+    dm = ingest.DecompositionMap.from_pairs(np.concatenate(nodes), np.concatenate(subdomains),
+                                            n ** 3, n_subdomains=boxes ** 3)
+    return ingest.ProblemInstance(matrix=matrix, rhs=np.ones(n ** 3), decomposition=dm)
 
 
 @st.composite

@@ -11,6 +11,7 @@ from conftest import (
     local_problems,
     make_problem_1d,
     make_problem_2d,
+    make_problem_3d,
     run_cli,
     with_empty_subdomain,
 )
@@ -315,6 +316,16 @@ class TestCoarseSpace:
         _, coarse = seeded_solve(33, 4)
         _, fine = seeded_solve(129, 16)
         assert fine.iterations <= 1.25 * coarse.iterations
+
+    @pytest.mark.parametrize("n, boxes", [(9, 2), (17, 4)])
+    def test_3d_boxes_reach_multiplicity_8(self, n, boxes):
+        # 9 and 11 iterations at 9^3 / 2x2x2 and 17^3 / 4x4x4
+        problem = make_problem_3d(n, boxes)
+        assert problem.decomposition.multiplicity.max() == 8
+        _, report = solve_dvs(problem, SolveConfig(compare_direct=True))
+        assert report.converged
+        assert report.relative_error_vs_direct <= 1e-8
+        assert report.iterations <= 15
 
     def test_bit_identical_across_blas_threads_16x16(self, tmp_path, monkeypatch):
         # E is 256 x 256: its factor and solves must not depend on the BLAS thread count
