@@ -6,11 +6,15 @@ conjugate-gradient (or restarted GMRES) iteration on the continuous interface
 subspace under the weighted inner product, back-substitute the interior
 values, and certify the retracted solution against the original system.
 
-Conjugate gradients is deflated by a coarse space Z with one column per
-subdomain and component, holding 1/m(p) on that subdomain's interface nodes
+Conjugate gradients is deflated by a coarse space Z of interface classes
 (Nicolaides 1987; the "DEF" variant of Tang, Nabben, Vuik & Erlangga 2009).
-The coarse solve Z E^+ Z' g, with E = Z' S Z, is the starting iterate, and
-every search direction is made S-orthogonal to Z.  It is also preconditioned
+A class is the set of interface nodes that share one subdomain set: on boxes,
+each edge and each cross point, the primal space of BDDC and FETI-DP
+(Dohrmann 2003; Toselli & Widlund 2005).  Z holds one indicator column per
+class and component; these are linearly independent, so E = Z' S Z is
+nonsingular wherever S is definite.  E is sparse and is factored by the same
+sparse LU as A_II.  The coarse solve Z E^-1 Z' g is the starting iterate, and
+every search direction is made S-orthogonal to Z.  CG is also preconditioned
 by M ~ S, probed on the node pattern of A_GG^2 (Chan & Mathew 1992): one
 interior solve per colour and component, then symmetrized, with a diagonal
 entry raised wherever its row is not strictly diagonally dominant, so M is
@@ -29,7 +33,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack, solve_triangular
 
 from .derived import (
     DerivedSpace,
@@ -247,58 +250,45 @@ def interface_rhs(state: SolverState) -> np.ndarray:
     return inject_interface(g_hat, state.space)
 
 
-# pivots of E = Z' S Z at or below this fraction of its largest diagonal entry
-# end the pivoted Cholesky factorization: their columns are dependent
-_COARSE_RTOL = 1e-10
-
-
 @dataclass(frozen=True, eq=False)
 class CoarseSpace:
     """The deflation space, in interface-node values.
 
-    `z` and `sz_t` = (S z)' hold the columns that pivoted Cholesky kept, and
-    `factor` is the upper triangular U with U'U = z' S z.  S z is stored
-    transposed, as CSR, for its product in every iteration.  On box partitions
-    E is singular (the checkerboard sum of the columns vanishes on the
-    interface), and the dropped columns are combinations of the kept ones.
-    The weighted inner product of an injected column with a derived vector v
-    is the column's dot product with `retract_interface(v)`.
+    `z` holds one indicator column per interface class and component, `sz_t`
+    = (S z)' is stored transposed, as CSR, for its product in every
+    iteration, and `lu` is the sparse LU of E = z' S z.  The weighted inner
+    product of an injected column with a derived vector v is the column's
+    dot product with `retract_interface(v)`.
     """
 
     space: DerivedSpace
     z: sp.csr_matrix
     sz_t: sp.csr_matrix
-    factor: np.ndarray
-
-    def _solve(self, y: np.ndarray) -> np.ndarray:
-        """E^-1 y as two triangular solves; the inverse is never formed."""
-        w = solve_triangular(self.factor, y, trans="T", check_finite=False)
-        return solve_triangular(self.factor, w, check_finite=False)
+    lu: object
 
     def correction(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Z E^-1 Z' v and S Z E^-1 Z' v, as continuous interface vectors."""
         ds = self.space
-        c = self._solve(self.z.T @ retract_interface(v, ds))
+        c = self.lu.solve(self.z.T @ retract_interface(v, ds))
         return inject_interface(self.z @ c, ds), inject_interface(self.sz_t.T @ c, ds)
 
     def deflate(self, v: np.ndarray) -> np.ndarray:
         """Z E^-1 (S Z)' v: the part of v that is not S-orthogonal to Z."""
-        c = self._solve(self.sz_t @ retract_interface(v, self.space))
+        c = self.lu.solve(self.sz_t @ retract_interface(v, self.space))
         return inject_interface(self.z @ c, self.space)
 
 
-def _distance2_colours(pattern: sp.csr_matrix) -> np.ndarray:
-    """Greedy first-fit colours such that no row of `pattern` holds two of one colour.
+def _greedy_colours(conflict: sp.spmatrix) -> np.ndarray:
+    """Greedy first-fit colours such that no two conflicting rows share one.
 
-    `pattern` is a symmetric pattern with its diagonal and positive entries,
-    so no sum in its square cancels: two rows of one colour are neither
-    adjacent nor two steps apart.  The rows are read through memoryviews:
-    as fast as Python lists, 2-3x faster than slicing numpy arrays per row,
-    and without a Python int for every entry at once.
+    Rows a and b conflict where the symmetric `conflict` has an entry.  The
+    rows are read through memoryviews: as fast as Python lists, 2-3x faster
+    than slicing numpy arrays per row, and without a Python int for every
+    entry at once.
     """
-    reach = (pattern @ pattern).tocsr()
-    indptr, indices = memoryview(reach.indptr), memoryview(reach.indices)
-    colours = [-1] * reach.shape[0]
+    conflict = conflict.tocsr()
+    indptr, indices = memoryview(conflict.indptr), memoryview(conflict.indices)
+    colours = [-1] * conflict.shape[0]
     for a in range(len(colours)):
         taken = {colours[b] for b in indices[indptr[a]:indptr[a + 1]]}
         c = 0
@@ -309,29 +299,34 @@ def _distance2_colours(pattern: sp.csr_matrix) -> np.ndarray:
 
 
 def build_coarse_space(state: SolverState) -> CoarseSpace:
-    """Z, S Z and the pivoted Cholesky factor of E = Z' S Z.
+    """Z, S Z and the sparse LU of E = Z' S Z.
 
     S Z = A_GG Z - A_GI A_II^-1 A_IG Z takes one interior solve per colour
-    and component, not one per column.  Subdomains of one colour share no
-    neighbour, so each interior block is reached by at most one of them: the
-    solve with the colour's columns summed is split by the member adjacent
-    to each interior node's home subdomain.  The split keeps only the
-    entries A_GI reads, one colour at a time, which keeps the peak memory
-    near the size of S Z.
+    and component, not one per column.  A class's column reaches only the
+    interior blocks of its own subdomains, and classes of one colour share
+    no subdomain: the solve with the colour's columns summed is split by the
+    member that touches each interior node's home subdomain.  The split
+    keeps only the entries A_GI reads, one colour at a time, which keeps the
+    peak memory near the size of S Z.  A singular E means S is not definite.
     """
     ds, b = state.space, state.blocks
     dm = ds.decomposition
     d = ds.block_dim
-    n_cols = dm.n_subdomains * d
-    member = dm.incidence[ds.gamma_nodes].tocoo()
-    inv_mult = 1.0 / dm.multiplicity[ds.gamma_nodes]
-    z = sp.csr_matrix(
-        (np.repeat(inv_mult[member.row], d),
-         (flat_block_indices(member.row, d), flat_block_indices(member.col, d))),
-        shape=(len(ds.gamma_nodes) * d, n_cols),
-    )
-    adjacency = (dm.incidence.T @ dm.incidence.astype(np.float64)).tocsr()
-    colours = _distance2_colours(adjacency)
+    # each node's sorted subdomains, padded with -1: equal rows are one class
+    member = dm.incidence[ds.gamma_nodes]
+    mult = np.diff(member.indptr)
+    node = np.repeat(np.arange(len(mult)), mult)
+    sets = np.full((len(mult), mult.max()), -1)
+    sets[node, np.arange(member.nnz) - member.indptr[node]] = member.indices
+    sets, of_node = np.unique(sets, axis=0, return_inverse=True)
+    cls, slot = np.nonzero(sets >= 0)
+    touching = sp.csc_matrix((np.ones(len(cls)), (sets[cls, slot], cls)),
+                             shape=(dm.n_subdomains, len(sets)))  # subdomain x class
+    n_rows, n_cols = len(mult) * d, len(sets) * d
+    # one 1 per row: the indicator of the row's class and component
+    z = sp.csr_matrix((np.ones(n_rows), flat_block_indices(of_node.ravel(), d),
+                       np.arange(n_rows + 1)), shape=(n_rows, n_cols))
+    colours = _greedy_colours(touching.T @ touching)
     # the interior flat entries A_GI reads, and the home subdomain of each
     coupled = np.flatnonzero(np.diff(b.gi.tocsc().indptr))
     home = dm.home[ds.interior_nodes[coupled // d]]
@@ -339,7 +334,7 @@ def build_coarse_space(state: SolverState) -> CoarseSpace:
     for c in range(colours.max() + 1):
         members = np.flatnonzero(colours == c)
         near = np.full(dm.n_subdomains, -1)
-        touch = adjacency[:, members].tocoo()
+        touch = touching[:, members].tocoo()
         near[touch.row] = members[touch.col]
         owner = near[home]
         reached = owner >= 0
@@ -352,12 +347,13 @@ def build_coarse_space(state: SolverState) -> CoarseSpace:
             split = sp.csr_matrix((x[rows], (rows, owner[reached] * d + k)),
                                   shape=(len(b.interior_flat), n_cols))
             sz = sz - b.gi @ split
-    e = (z.T @ sz).toarray(order="F")
-    scale = max(float(e.diagonal().max()), 0.0)
-    u, piv, rank, _ = lapack.dpstrf(e, tol=_COARSE_RTOL * scale, overwrite_a=True)
-    kept = piv[:rank] - 1  # LAPACK pivots count from 1
-    return CoarseSpace(space=ds, z=z[:, kept], sz_t=sz[:, kept].T.tocsr(),
-                       factor=np.triu(u[:rank, :rank]))
+    e = (z.T @ sz).tocsc()
+    try:
+        lu = _splu(e)
+    except RuntimeError as err:
+        raise _cg_breakdown(0, f"E = Z'SZ is singular ({err}): the interface operator is "
+                               "not positive definite", [], None) from err
+    return CoarseSpace(space=ds, z=z, sz_t=sz.T.tocsr(), lu=lu)
 
 
 # a raised diagonal entry exceeds the rest of its row by this fraction; the
@@ -389,7 +385,9 @@ def probe_interface_operator(state: SolverState) -> sp.csr_matrix:
     """
     d = state.space.block_dim
     pattern = probe_pattern(state)
-    colours = _distance2_colours(pattern)
+    # all entries are 1, so no sum in the square cancels: two nodes of one
+    # colour are neither adjacent nor two steps apart
+    colours = _greedy_colours(pattern @ pattern)
     pattern = pattern.tocoo()
     n_colours = colours.max() + 1
     n_flat = len(colours) * d
@@ -567,6 +565,12 @@ def _gmres(apply_op, g, ip, reproject, tol, max_iters, restart=30):
     )
 
 
+def _max_iters(cfg: SolveConfig, ds: DerivedSpace) -> int:
+    """`cfg.max_iters`, or by default 10x the interface dimension, at least 10."""
+    default = max(10 * len(ds.gamma_nodes) * ds.block_dim, 10)
+    return default if cfg.max_iters is None else cfg.max_iters
+
+
 def solve_interface(state: SolverState, g_gamma: np.ndarray, cfg: SolveConfig):
     """Krylov-solve the continuous interface system; returns (u_gamma, history, iterations).
 
@@ -583,9 +587,7 @@ def solve_interface(state: SolverState, g_gamma: np.ndarray, cfg: SolveConfig):
     n_gamma_flat = len(ds.gamma_positions) * ds.block_dim
     if g_gamma.shape != (n_gamma_flat,):
         raise ValueError(f"expected interface vector of length {n_gamma_flat}")
-    max_iters = cfg.max_iters
-    if max_iters is None:
-        max_iters = max(10 * len(ds.gamma_nodes) * ds.block_dim, 10)
+    max_iters = _max_iters(cfg, ds)
 
     def ip(a, b):
         return inner_interface(a, b, ds)
@@ -683,10 +685,7 @@ def solve_dvs(problem: ProblemInstance, cfg: SolveConfig | None = None):
             raise ConfigError("cg requires a symmetric matrix; use krylov='gmres'")
         state = _build_state(problem, cfg)
         ds = state.space
-        report.config["max_iters"] = (
-            cfg.max_iters if cfg.max_iters is not None
-            else max(10 * len(ds.gamma_nodes) * ds.block_dim, 10)
-        )
+        report.config["max_iters"] = _max_iters(cfg, ds)
 
     with _phase("factor", report.timings):
         state.interior = _factor(state)

@@ -36,7 +36,7 @@ from edvs.ingest import (
 from edvs.schur import IndexSplit, schur_complement
 from edvs.solver import (
     SolveConfig,
-    _distance2_colours,
+    _greedy_colours,
     apply_interface_operator,
     back_substitute,
     build_coarse_space,
@@ -267,21 +267,27 @@ def block_problem_2d(n, boxes):
 
 
 def assert_coarse_space_matches_dense_oracle(problem):
-    """Kept columns span Z; S Z and the factor of Z' S Z agree with the dense Schur complement."""
+    """Z has one independent column per class and component and spans the per-subdomain
+    columns; S Z and the LU of Z' S Z agree with the dense Schur complement."""
     dm = problem.decomposition
     d = problem.matrix.block_dim
     coarse = build_coarse_space(setup_solver(problem, SolveConfig()))
     gamma = dm.interface_nodes
     z_ref = np.kron(dm.incidence[gamma].toarray() / dm.multiplicity[gamma, None], np.eye(d))
     z = coarse.z.toarray()
-    rank = np.linalg.matrix_rank(z_ref)
-    assert z.shape[1] == rank == np.linalg.matrix_rank(np.hstack([z_ref, z]))
+    n_classes = len({dm.memberships[p] for p in gamma})
+    assert z.shape[1] == n_classes * d == np.linalg.matrix_rank(z)
+    assert np.linalg.matrix_rank(np.hstack([z_ref, z])) == z.shape[1]
     sigma = dense_interface_operator(problem)
     scale = max(np.abs(sigma).max(), 1.0)
     assert np.abs(coarse.sz_t.T.toarray() - sigma @ z).max() <= 1e-12 * scale
-    e = z.T @ sigma @ z
-    assert np.abs(coarse.factor.T @ coarse.factor - e).max() <= 1e-12 * scale
-    assert np.array_equal(coarse.factor, np.triu(coarse.factor))
+    # SuperLU factors Pr E Pc = L U
+    lu = coarse.lu
+    n = z.shape[1]
+    pr = sp.csc_matrix((np.ones(n), (lu.perm_r, np.arange(n))), shape=(n, n))
+    pc = sp.csc_matrix((np.ones(n), (np.arange(n), lu.perm_c)), shape=(n, n))
+    e = (pr.T @ lu.L @ lu.U @ pc.T).toarray()
+    assert np.abs(e - z.T @ sigma @ z).max() <= 1e-12 * scale
 
 
 def seeded_solve(n, boxes, **cfg):
@@ -294,14 +300,14 @@ class TestCoarseSpace:
                                          make_problem_2d(17, 17, 4, 4), block_problem_2d(17, 4)],
                              ids=["1d17x4", "2d9x2", "2d17x4", "2d17x4_d2"])
     def test_matches_dense_oracle(self, problem):
-        # 17^2 / 4x4 boxes: E is singular (the checkerboard), rank 15 of 16
+        # 17^2 / 4x4 boxes: 33 classes, the 24 edges and the 9 cross points
         assert_coarse_space_matches_dense_oracle(problem)
 
     @settings(max_examples=60, deadline=None)
     @given(problem=local_problems(), empty=st.booleans())
     def test_deflated_solve_matches_direct_on_random_partitions(self, problem, empty):
         # multiplicity 3, a subdomain without interior, block_dim 1 and 2, and
-        # with `empty` a subdomain without nodes: a zero column of Z
+        # with `empty` a subdomain without nodes, which is in no class
         if empty:
             problem = ProblemInstance(matrix=problem.matrix, rhs=problem.rhs,
                                       decomposition=with_empty_subdomain(problem.decomposition))
@@ -311,15 +317,26 @@ class TestCoarseSpace:
         assert report.relative_error_vs_direct <= 1e-8
 
     def test_iterations_flat_in_subdomain_count(self):
-        # H/h = 8 in both: 4x4 and 16x16 boxes take 18 and 22 (38 and 44 deflated
-        # without the probe; undeflated, unpreconditioned CG took 54 and 190)
+        # H/h = 8 in both: 4x4 and 16x16 boxes take 13 and 16 (18 and 22 with one
+        # coarse vector per subdomain; undeflated, unpreconditioned CG took 54 and 190)
         _, coarse = seeded_solve(33, 4)
         _, fine = seeded_solve(129, 16)
         assert fine.iterations <= 1.25 * coarse.iterations
 
+    @pytest.mark.parametrize("shape, n_classes", [((129, 16), 705), ((257, 4), 33)],
+                             ids=["129x16", "257x4"])
+    def test_box_classes_are_edges_and_cross_points(self, shape, n_classes):
+        # b x b boxes: 2b(b - 1) edges and (b - 1)^2 cross points; 8 colours of classes
+        n, boxes = shape
+        state = setup_solver(make_problem_2d(n, n, boxes, boxes), SolveConfig())
+        state.interior = CountingInterior(state.interior)
+        coarse = build_coarse_space(state)
+        assert coarse.z.shape[1] == n_classes
+        assert state.interior.calls == 8
+
     @pytest.mark.parametrize("n, boxes", [(9, 2), (17, 4)])
     def test_3d_boxes_reach_multiplicity_8(self, n, boxes):
-        # 9 and 11 iterations at 9^3 / 2x2x2 and 17^3 / 4x4x4
+        # 7 and 10 iterations at 9^3 / 2x2x2 and 17^3 / 4x4x4
         problem = make_problem_3d(n, boxes)
         assert problem.decomposition.multiplicity.max() == 8
         _, report = solve_dvs(problem, SolveConfig(compare_direct=True))
@@ -328,7 +345,7 @@ class TestCoarseSpace:
         assert report.iterations <= 15
 
     def test_bit_identical_across_blas_threads_16x16(self, tmp_path, monkeypatch):
-        # E is 256 x 256: its factor and solves must not depend on the BLAS thread count
+        # E is 705 x 705: its factor and solves must not depend on the BLAS thread count
         result = run_cli(["generate", "poisson2d", "--nx", "65", "--ny", "65", "--boxes", "16x16",
                           "--out-prefix", "det"], cwd=tmp_path)
         assert result.returncode == 0, result.stderr
@@ -346,18 +363,22 @@ class TestCoarseSpace:
         assert (tmp_path / "sol1.txt").read_bytes() == (tmp_path / "sol2.txt").read_bytes()
 
 
-def reference_distance2_colours(pattern):
+def reference_greedy_colours(conflict):
     """The greedy first-fit colouring written with numpy slices, as the reference."""
-    reach = (pattern @ pattern).tocsr()
-    colours = np.full(pattern.shape[0], -1)
+    conflict = conflict.tocsr()
+    colours = np.full(conflict.shape[0], -1)
     for a in range(len(colours)):
-        taken = set(colours[reach.indices[reach.indptr[a]:reach.indptr[a + 1]]].tolist())
+        taken = set(colours[conflict.indices[conflict.indptr[a]:conflict.indptr[a + 1]]].tolist())
         colours[a] = next(c for c in range(len(colours) + 1) if c not in taken)
     return colours
 
 
-def subdomain_adjacency(dm):
-    return (dm.incidence.T @ dm.incidence.astype(np.float64)).tocsr()
+def class_incidence(dm):
+    """Subdomain x class incidence: a class is the interface nodes of one subdomain set."""
+    sets = sorted({dm.memberships[p] for p in dm.interface_nodes})
+    cols = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+    rows = np.concatenate(sets)
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(dm.n_subdomains, len(sets)))
 
 
 def assert_rows_hold_distinct_colours(pattern, colours):
@@ -367,11 +388,16 @@ def assert_rows_hold_distinct_colours(pattern, colours):
 
 
 def assert_colourings_match_reference(problem):
-    """The coarse space colours subdomains, the probe colours interface nodes."""
+    """The coarse space colours interface classes, the probe colours interface nodes.
+
+    Classes of one colour share no subdomain; probe nodes of one colour share no row
+    of the probe pattern.
+    """
     state = setup_solver(problem, SolveConfig())
-    for pattern in (subdomain_adjacency(problem.decomposition), probe_pattern(state)):
-        colours = _distance2_colours(pattern)
-        assert np.array_equal(colours, reference_distance2_colours(pattern))
+    for pattern in (class_incidence(problem.decomposition), probe_pattern(state)):
+        conflict = pattern.T @ pattern
+        colours = _greedy_colours(conflict)
+        assert np.array_equal(colours, reference_greedy_colours(conflict))
         assert_rows_hold_distinct_colours(pattern, colours)
 
 
@@ -411,7 +437,7 @@ def assert_probe_matches_dense_oracle(problem):
     nodes = len(problem.decomposition.interface_nodes)
     one_step = a_gg.reshape(nodes, d, nodes, d).sum(axis=(1, 3)) + np.eye(nodes)
     assert np.array_equal(pattern.toarray() != 0, one_step @ one_step > 0)
-    colours = _distance2_colours(pattern)
+    colours = _greedy_colours(pattern @ pattern)
     assert_rows_hold_distinct_colours(pattern, colours)
     sigma = dense_interface_operator(problem)
     # columns of sigma summed over each colour, per component
@@ -442,7 +468,7 @@ class TestProbe:
         assert_probe_matches_dense_oracle(problem)
 
     def test_halves_iterations(self, monkeypatch):
-        # 129^2 / 16x16 boxes, the many-small shape: 44 iterations without the probe
+        # 129^2 / 16x16 boxes, the many-small shape: 16 iterations, 30 without the probe
         _, probed = seeded_solve(129, 16)
         assert probed.iterations <= 25
         # M = I leaves deflated CG unpreconditioned
@@ -506,6 +532,17 @@ class TestBackSubstitute:
         u_interior = back_substitute(state, np.zeros(0))
         direct = np.linalg.solve(problem.matrix.csr.toarray(), problem.rhs)
         assert np.allclose(u_interior, direct, atol=1e-12)
+
+
+def singular_interface_problem():
+    """Two subdomains sharing one node, where the interface Schur complement is
+    2 - 1 - 1 = 0 but its right-hand side is not."""
+    matrix = OriginalMatrix(
+        csr=sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]])),
+        symmetric=True,
+    )
+    dm = DecompositionMap.from_memberships([(0,), (0, 1), (1,)])
+    return ProblemInstance(matrix=matrix, rhs=np.array([1.0, 0.0, 0.0]), decomposition=dm)
 
 
 class TestSolveDvs:
@@ -572,18 +609,29 @@ class TestSolveDvs:
         assert report.relative_error_vs_direct <= 1e-8
 
     def test_gmres_breakdown_on_singular_interface_operator(self):
-        # the interface Schur complement is 2 - 1 - 1 = 0, but its right-hand side is not
-        matrix = OriginalMatrix(
-            csr=sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]])),
-            symmetric=True,
-        )
-        dm = DecompositionMap.from_memberships([(0,), (0, 1), (1,)])
-        problem = ProblemInstance(matrix=matrix, rhs=np.array([1.0, 0.0, 0.0]), decomposition=dm)
         with pytest.raises(ConvergenceError, match="gmres breakdown") as err:
-            solve_dvs(problem, SolveConfig(krylov="gmres"))
+            solve_dvs(singular_interface_problem(), SolveConfig(krylov="gmres"))
         e = err.value
         assert e.phase == "interface"
         assert e.report is not None and not e.report.converged
+
+    def test_cg_breakdown_on_singular_interface_operator(self):
+        # S = 0, so the coarse matrix Z'SZ = 0 cannot be factored
+        with pytest.raises(ConvergenceError, match="cg breakdown") as err:
+            solve_dvs(singular_interface_problem(), SolveConfig(krylov="cg"))
+        e = err.value
+        assert e.phase == "interface"
+        assert "krylov='gmres'" in str(e)
+        assert e.report is not None and not e.report.converged
+
+    @pytest.mark.parametrize("n", [33, 65])
+    @pytest.mark.parametrize("boxes", [4, 8])
+    def test_convergence_ladder(self, n, boxes):
+        # deflated, probed CG with rhs = 1: few iterations, and the direct solution
+        _, report = solve_dvs(make_problem_2d(n, n, boxes, boxes), SolveConfig(compare_direct=True))
+        assert report.converged
+        assert report.iterations <= 30
+        assert report.relative_error_vs_direct <= 1e-8
 
     def test_nonsymmetric_gmres_path(self):
         data = np.zeros((3, 5))
