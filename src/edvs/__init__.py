@@ -9,7 +9,6 @@ against the original sequential formulation.
 
 from .derived import (
     DerivedSpace,
-    NodeTag,
     build_derived_space,
     inject,
     inner_derived,
@@ -33,7 +32,6 @@ from .exceptions import (
     ConvergenceError,
     EdvsError,
     InconsistentSystemError,
-    InvalidPrimalError,
     InvalidSplitError,
     LocalityError,
     MatrixFormatError,
@@ -44,7 +42,6 @@ from .ingest import (
     DecompositionMap,
     OriginalMatrix,
     ProblemInstance,
-    classify_original_nodes,
     generate_box_partition,
     generate_poisson_1d,
     generate_poisson_2d,

@@ -30,22 +30,6 @@ def _parse_boxes(text: str) -> tuple[int, int]:
     return int(text), 1
 
 
-def _parse_primal(text: str) -> dict:
-    if text == "none":
-        return {}
-    if text.startswith("minmult="):
-        return {"primal_min_multiplicity": int(text.split("=", 1)[1])}
-    if text.startswith("file="):
-        path = text.split("=", 1)[1]
-        values = ingest.load_vector(path)
-        fractional = values[values != np.trunc(values)]
-        if fractional.size:
-            raise ConfigError(f"--primal file {path}: node id {float(fractional[0])!r} "
-                              "is not an integer")
-        return {"primal_nodes": tuple(int(v) for v in values)}
-    raise ConfigError(f"cannot parse --primal {text!r}; expected none, minmult=K or file=PATH")
-
-
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
@@ -114,7 +98,6 @@ def cmd_solve(args) -> int:
         max_iters=args.max_iters,
         krylov=args.krylov,
         compare_direct=args.compare_direct,
-        **_parse_primal(args.primal),
     )
     try:
         u_hat, report = solve_dvs(problem, cfg)
@@ -188,8 +171,16 @@ def cmd_info(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 (input error); argparse's own 2 means non-convergence here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="edvs",
         description="Domain-decomposition solver on derived vector spaces",
     )
@@ -215,8 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--max-iters", type=int, default=None)
     slv.add_argument("--krylov", choices=["cg", "gmres"], default="cg")
     slv.add_argument("--compare-direct", action="store_true")
-    slv.add_argument("--primal", default="none",
-                     help="primal selection: none, minmult=K, or file=PATH")
     slv.add_argument("--out", default=None, help="write the solution vector to this file")
     slv.set_defaults(func=cmd_solve)
 

@@ -1,4 +1,4 @@
-"""Derived vector space: node enumeration, classification, projections, duality.
+"""Derived vector space: node enumeration, interior/interface split, projections, duality.
 
 Each original node p with multiplicity m(p) spawns m(p) derived nodes (p, a),
 one per subdomain containing it.  Derived vectors carry one d-block per
@@ -10,21 +10,13 @@ averages onto it and `project_zero_average` is its orthogonal complement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 import scipy.sparse as sp
 
-from .exceptions import InvalidPrimalError
 from .ingest import DecompositionMap
 
 DENSE_REFERENCE_CAP = 2000  # scalar unknowns; explicit operator matrices are test-only
-
-
-class NodeTag(IntEnum):
-    INTERIOR = 0
-    PRIMAL = 1
-    DUAL = 2
 
 
 def flat_block_indices(nodes: np.ndarray, block_dim: int) -> np.ndarray:
@@ -37,7 +29,7 @@ def flat_block_indices(nodes: np.ndarray, block_dim: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DerivedSpace:
-    """Indexed derived node set with its classification and reduction machinery.
+    """Indexed derived node set with its interior/interface split and reduction machinery.
 
     Derived nodes are ordered by subdomain, then node, so each subdomain's
     nodes occupy one contiguous slice (`subdomain_ranges`).  Descendant groups
@@ -50,7 +42,6 @@ class DerivedSpace:
     block_dim: int
     node_of: np.ndarray
     subdomain_of: np.ndarray
-    tags: np.ndarray
     subdomain_ranges: tuple[tuple[int, int], ...]
     descendant_ptr: np.ndarray
     descendant_positions: np.ndarray
@@ -88,44 +79,13 @@ class DerivedSpace:
         """Derived positions of the given original node, ascending by subdomain."""
         return self.descendant_positions[self.descendant_ptr[node]:self.descendant_ptr[node + 1]]
 
-    def positions_tagged(self, tag: NodeTag) -> np.ndarray:
-        return np.nonzero(self.tags == int(tag))[0]
 
-    @property
-    def primal_positions(self) -> np.ndarray:
-        return self.positions_tagged(NodeTag.PRIMAL)
+def build_derived_space(dm: DecompositionMap, block_dim: int = 1) -> DerivedSpace:
+    """Enumerate derived nodes and split them into interior (m(p) == 1) and interface.
 
-    @property
-    def dual_positions(self) -> np.ndarray:
-        return self.positions_tagged(NodeTag.DUAL)
-
-    @property
-    def interior_and_primal_positions(self) -> np.ndarray:
-        """Derived positions tagged interior or primal (classification only)."""
-        return np.nonzero(self.tags != int(NodeTag.DUAL))[0]
-
-    @property
-    def interior_and_dual_positions(self) -> np.ndarray:
-        """Derived positions tagged interior or dual (classification only)."""
-        return np.nonzero(self.tags != int(NodeTag.PRIMAL))[0]
-
-
-def build_derived_space(
-    dm: DecompositionMap,
-    block_dim: int = 1,
-    primal_min_multiplicity: int | None = None,
-    primal_nodes=None,
-) -> DerivedSpace:
-    """Enumerate derived nodes and classify them as interior, primal or dual.
-
-    Primal selection (optional, classification only): either every interface
-    node with multiplicity >= `primal_min_multiplicity`, or an explicit
-    `primal_nodes` collection.  Naming a non-interface node explicitly is an
-    error; interface nodes not selected are tagged dual.
+    The solver needs no finer classification: the coarse space of interface
+    classes (`solver.build_coarse_space`) is computed from the partition.
     """
-    if primal_min_multiplicity is not None and primal_nodes is not None:
-        raise InvalidPrimalError("give either a multiplicity threshold or an explicit node list")
-
     node_of = np.concatenate([g for g in dm.subdomain_nodes]) if dm.n_subdomains else np.array([])
     node_of = node_of.astype(np.int64)
     subdomain_of = np.concatenate(
@@ -136,26 +96,6 @@ def build_derived_space(
     for g in dm.subdomain_nodes:
         ranges.append((start, start + len(g)))
         start += len(g)
-    n_derived = len(node_of)
-
-    primal_mask = np.zeros(dm.n_nodes, dtype=bool)
-    if primal_min_multiplicity is not None:
-        primal_mask = dm.multiplicity >= max(primal_min_multiplicity, 2)
-    elif primal_nodes is not None:
-        for p in primal_nodes:
-            p = int(p)
-            if not 0 <= p < dm.n_nodes:
-                raise InvalidPrimalError(f"primal node {p} out of range")
-            if dm.multiplicity[p] == 1:
-                raise InvalidPrimalError(f"node {p} has multiplicity 1 and cannot be primal")
-            primal_mask[p] = True
-
-    mult_of = dm.multiplicity[node_of]
-    tags = np.where(
-        mult_of == 1,
-        int(NodeTag.INTERIOR),
-        np.where(primal_mask[node_of], int(NodeTag.PRIMAL), int(NodeTag.DUAL)),
-    ).astype(np.int8)
 
     # stable sort by node groups descendants; ties keep derived order = ascending subdomain
     descendant_positions = np.argsort(node_of, kind="stable").astype(np.int64)
@@ -168,6 +108,7 @@ def build_derived_space(
     weight_flat = np.repeat(inv_mult[node_of], d)
     original_inv_mult_flat = np.repeat(inv_mult, d)
 
+    mult_of = dm.multiplicity[node_of]
     gamma_positions = np.nonzero(mult_of > 1)[0].astype(np.int64)
     interior_positions = np.nonzero(mult_of == 1)[0].astype(np.int64)
     gamma_nodes = dm.interface_nodes.astype(np.int64)
@@ -184,7 +125,6 @@ def build_derived_space(
         block_dim=d,
         node_of=node_of,
         subdomain_of=subdomain_of,
-        tags=tags,
         subdomain_ranges=tuple(ranges),
         descendant_ptr=descendant_ptr,
         descendant_positions=descendant_positions,

@@ -27,10 +27,6 @@ class ContinuityError(EdvsError):
     """A derived vector required to be continuous is not."""
 
 
-class InvalidPrimalError(EdvsError):
-    """Primal selection named a node that is not an interface node."""
-
-
 class InconsistentSystemError(EdvsError):
     """Right-hand side is not in the range of the operator."""
 

@@ -13,7 +13,7 @@ import itertools
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -139,13 +139,6 @@ class DecompositionMap:
         return DecompositionMap.from_pairs(nodes, subdomains, len(mem), n_subdomains)
 
 
-def classify_original_nodes(dm: DecompositionMap) -> tuple[set, set]:
-    """Return the (interior, interface) node-id pair; the two sets partition the node set."""
-    interior = set(int(p) for p in dm.interior_nodes)
-    interface = set(int(p) for p in dm.interface_nodes)
-    return interior, interface
-
-
 @dataclass(frozen=True, eq=False)
 class OriginalMatrix:
     """Square sparse matrix over the original nodes, d scalar rows per node."""
@@ -185,7 +178,6 @@ class ProblemInstance:
     matrix: OriginalMatrix
     rhs: np.ndarray
     decomposition: DecompositionMap
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         n = self.matrix.csr.shape[0]

@@ -78,8 +78,6 @@ class SolveConfig:
     max_iters: int | None = None
     krylov: str = "cg"
     compare_direct: bool = False
-    primal_min_multiplicity: int | None = None
-    primal_nodes: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if not (np.isfinite(self.tol) and self.tol > 0):
@@ -88,13 +86,6 @@ class SolveConfig:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.krylov not in ("cg", "gmres"):
             raise ConfigError(f"krylov must be 'cg' or 'gmres', got {self.krylov!r}")
-
-    def primal_label(self) -> str:
-        if self.primal_min_multiplicity is not None:
-            return f"minmult={self.primal_min_multiplicity}"
-        if self.primal_nodes is not None:
-            return f"nodes={sorted(int(p) for p in self.primal_nodes)}"
-        return "none"
 
 
 @dataclass
@@ -194,16 +185,11 @@ class SolverState:
     continuity_projections: int = 0
 
 
-def _build_state(problem: ProblemInstance, cfg: SolveConfig) -> SolverState:
+def _build_state(problem: ProblemInstance) -> SolverState:
     """Validate locality, build the derived space, and slice the 2x2 blocks."""
     matrix, dm = problem.matrix, problem.decomposition
     require_locality(matrix, dm)
-    ds = build_derived_space(
-        dm,
-        block_dim=matrix.block_dim,
-        primal_min_multiplicity=cfg.primal_min_multiplicity,
-        primal_nodes=cfg.primal_nodes,
-    )
+    ds = build_derived_space(dm, block_dim=matrix.block_dim)
     return SolverState(problem=problem, space=ds, blocks=interface_blocks(matrix, dm))
 
 
@@ -212,10 +198,9 @@ def _factor(state: SolverState) -> InteriorFactorization:
     return factor_interior(problem.matrix, problem.decomposition, block_ii=state.blocks.ii)
 
 
-def setup_solver(problem: ProblemInstance, cfg: SolveConfig | None = None) -> SolverState:
+def setup_solver(problem: ProblemInstance) -> SolverState:
     """One-call setup: state plus the factored interior block."""
-    cfg = cfg or SolveConfig()
-    state = _build_state(problem, cfg)
+    state = _build_state(problem)
     state.interior = _factor(state)
     return state
 
@@ -676,14 +661,13 @@ def solve_dvs(problem: ProblemInstance, cfg: SolveConfig | None = None):
         "max_iters": cfg.max_iters,
         "krylov": cfg.krylov,
         "compare_direct": cfg.compare_direct,
-        "primal": cfg.primal_label(),
     }
     t_start = time.perf_counter()
 
     with _phase("setup", report.timings):
         if cfg.krylov == "cg" and not problem.matrix.symmetric:
             raise ConfigError("cg requires a symmetric matrix; use krylov='gmres'")
-        state = _build_state(problem, cfg)
+        state = _build_state(problem)
         ds = state.space
         report.config["max_iters"] = _max_iters(cfg, ds)
 

@@ -78,7 +78,7 @@ def test_criterion_2_closed_form_1d():
     u_hat, report = solve_dvs(problem, SolveConfig())
     assert np.allclose(u_hat, [0.5, 1.0, 1.5, 1.0, 0.5], atol=1e-10)
 
-    state = setup_solver(problem, SolveConfig())
+    state = setup_solver(problem)
     sigma_action = apply_interface_operator(state, np.ones(2))
     assert np.allclose(sigma_action, 2.0 / 3.0, atol=1e-10)
     u_gamma, _, _ = solve_interface(state, interface_rhs(state), SolveConfig())
@@ -206,7 +206,7 @@ def test_criterion_6_interior_block_diagonality():
 
 def test_criterion_7_cg_finite_termination():
     problem = make_problem_2d(9, 9, 2, 2)
-    state = setup_solver(problem, SolveConfig(tol=1e-10))
+    state = setup_solver(problem)
     dim = len(state.space.gamma_nodes) * state.space.block_dim
     u_gamma, history, iters = solve_interface(state, interface_rhs(state), SolveConfig(tol=1e-10))
     assert history[-1] <= 1e-10

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edvs.derived import (
-    NodeTag,
     build_derived_space,
     continuity_defect,
     inject,
@@ -19,7 +18,6 @@ from edvs.derived import (
     retract_interface,
     retraction_matrix,
 )
-from edvs.exceptions import InvalidPrimalError
 from edvs.ingest import DecompositionMap, generate_box_partition
 
 DM_1D5 = DecompositionMap.from_memberships([(0,), (0,), (0, 1), (1,), (1,)])
@@ -40,31 +38,12 @@ class TestBuild:
         seen = np.concatenate([ds_1d5.descendants(p) for p in range(5)])
         assert sorted(seen.tolist()) == list(range(6))
 
-    def test_default_primal_empty(self, ds_1d5):
-        assert len(ds_1d5.primal_positions) == 0
-        assert ds_1d5.dual_positions.tolist() == [2, 3]
-        # interior+dual covers everything when no primal nodes are selected
-        assert len(ds_1d5.interior_and_dual_positions) == 6
-        assert ds_1d5.interior_and_primal_positions.tolist() == ds_1d5.interior_positions.tolist()
-
-    def test_multiplicity_threshold(self):
-        dm = generate_box_partition(5, 5, 2, 2)
-        ds = build_derived_space(dm, primal_min_multiplicity=3)
-        primal_nodes = set(ds.node_of[ds.primal_positions].tolist())
-        assert primal_nodes == {12}  # only the center has multiplicity 4
-        assert len(ds.primal_positions) == 4
-        dual_nodes = set(ds.node_of[ds.dual_positions].tolist())
-        assert all(dm.multiplicity[p] == 2 for p in dual_nodes)
-
-    def test_explicit_primal_interior_rejected(self):
-        with pytest.raises(InvalidPrimalError, match="multiplicity 1"):
-            build_derived_space(DM_1D5, primal_nodes=[0])
-
-    def test_tag_partition(self, ds_1d5):
-        tags = ds_1d5.tags
-        assert np.all((tags == NodeTag.INTERIOR) == (DM_1D5.multiplicity[ds_1d5.node_of] == 1))
-        counts = {int(t): int((tags == t).sum()) for t in NodeTag}
-        assert sum(counts.values()) == ds_1d5.n_derived
+    def test_interior_interface_split(self, ds_1d5):
+        # both copies of the shared node 2 are interface positions
+        assert ds_1d5.interior_positions.tolist() == [0, 1, 4, 5]
+        assert ds_1d5.gamma_positions.tolist() == [2, 3]
+        assert ds_1d5.interior_nodes.tolist() == [0, 1, 3, 4]
+        assert ds_1d5.gamma_nodes.tolist() == [2]
 
 
 class TestInnerProducts:
@@ -270,18 +249,12 @@ def test_continuous_group_sums(ds, seed):
 @settings(max_examples=60, deadline=None)
 @given(ds=decomposition_spaces())
 def test_classification_decomposes_derived_set(ds):
-    interior = set(ds.positions_tagged(NodeTag.INTERIOR).tolist())
-    primal = set(ds.positions_tagged(NodeTag.PRIMAL).tolist())
-    dual = set(ds.positions_tagged(NodeTag.DUAL).tolist())
-    assert interior | primal | dual == set(range(ds.n_derived))
-    assert not (interior & primal) and not (interior & dual) and not (primal & dual)
+    interior = set(ds.interior_positions.tolist())
     gamma = set(ds.gamma_positions.tolist())
-    assert primal | dual == gamma
-    # the paired classifications also decompose the derived set
-    interior_primal = set(ds.interior_and_primal_positions.tolist())
-    interior_dual = set(ds.interior_and_dual_positions.tolist())
-    assert interior_primal | dual == set(range(ds.n_derived)) and not interior_primal & dual
-    assert interior_dual | primal == set(range(ds.n_derived)) and not interior_dual & primal
+    assert interior | gamma == set(range(ds.n_derived)) and not interior & gamma
+    mult_of = ds.decomposition.multiplicity[ds.node_of]
+    assert np.all(mult_of[ds.interior_positions] == 1)
+    assert np.all(mult_of[ds.gamma_positions] > 1)
     # the subdomain slices also decompose the derived set
     total = 0
     for start, stop in ds.subdomain_ranges:

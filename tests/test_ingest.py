@@ -159,24 +159,30 @@ class TestPartition:
         assert hist[1] == 16 and hist[2] == 8 and hist[4] == 1
 
 
+def _interior_interface(dm):
+    """The (interior, interface) node sets, checked to partition the node set."""
+    interior, interface = set(dm.interior_nodes.tolist()), set(dm.interface_nodes.tolist())
+    assert interior | interface == set(range(dm.n_nodes))
+    assert interior & interface == set()
+    return interior, interface
+
+
 class TestClassify:
     def test_mixed(self):
         dm = ingest.DecompositionMap.from_memberships([(0,), (0,), (0, 1), (1,), (1,)])
-        interior, interface = ingest.classify_original_nodes(dm)
+        interior, interface = _interior_interface(dm)
         assert interior == {0, 1, 3, 4}
         assert interface == {2}
-        assert interior | interface == set(range(5))
-        assert interior & interface == set()
 
     def test_single_subdomain_no_interface(self):
         dm = ingest.DecompositionMap.from_memberships([(0,)] * 4)
-        interior, interface = ingest.classify_original_nodes(dm)
+        interior, interface = _interior_interface(dm)
         assert interface == set()
         assert interior == set(range(4))
 
     def test_fully_overlapping_no_interior(self):
         dm = ingest.DecompositionMap.from_memberships([(0, 1)] * 3)
-        interior, interface = ingest.classify_original_nodes(dm)
+        interior, interface = _interior_interface(dm)
         assert interior == set()
         assert interface == set(range(3))
 
@@ -312,9 +318,9 @@ class TestProblemInstance:
 def test_decomposition_invariants(memberships):
     dm = ingest.DecompositionMap.from_memberships(memberships)
     assert np.array_equal(dm.multiplicity, [len(ms) for ms in dm.memberships])
-    interior, interface = ingest.classify_original_nodes(dm)
-    assert interior | interface == set(range(dm.n_nodes))
-    assert interior & interface == set()
+    interior, interface = _interior_interface(dm)
+    assert all(dm.multiplicity[p] == 1 for p in interior)
+    assert all(dm.multiplicity[p] > 1 for p in interface)
     covered = set()
     for nodes in dm.subdomain_nodes:
         covered.update(int(p) for p in nodes)

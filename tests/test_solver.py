@@ -54,12 +54,12 @@ from edvs.solver import (
 
 @pytest.fixture
 def state_1d5(problem_1d5):
-    return setup_solver(problem_1d5, SolveConfig())
+    return setup_solver(problem_1d5)
 
 
 @pytest.fixture
 def state_2d55():
-    return setup_solver(make_problem_2d(5, 5, 2, 2), SolveConfig())
+    return setup_solver(make_problem_2d(5, 5, 2, 2))
 
 
 def dense_interface_operator(problem):
@@ -179,7 +179,7 @@ class TestInterfaceOperator:
     @given(problem=local_problems())
     def test_agrees_with_dense_oracle_on_random_partitions(self, problem):
         # multiplicity-3 nodes, a subdomain without interior, block_dim 1 and 2
-        state = setup_solver(problem, SolveConfig())
+        state = setup_solver(problem)
         ds = state.space
         sigma = dense_interface_operator(problem)
         rng = np.random.default_rng(5)
@@ -246,7 +246,7 @@ class TestSolveInterface:
         matrix = OriginalMatrix(csr=problem_1d5.matrix.csr, symmetric=False)
         problem = ProblemInstance(matrix=matrix, rhs=problem_1d5.rhs,
                                   decomposition=problem_1d5.decomposition)
-        state = setup_solver(problem, SolveConfig())
+        state = setup_solver(problem)
         with pytest.raises(ConfigError, match="symmetric"):
             solve_interface(state, np.zeros(2), SolveConfig(krylov="cg"))
 
@@ -271,7 +271,7 @@ def assert_coarse_space_matches_dense_oracle(problem):
     columns; S Z and the LU of Z' S Z agree with the dense Schur complement."""
     dm = problem.decomposition
     d = problem.matrix.block_dim
-    coarse = build_coarse_space(setup_solver(problem, SolveConfig()))
+    coarse = build_coarse_space(setup_solver(problem))
     gamma = dm.interface_nodes
     z_ref = np.kron(dm.incidence[gamma].toarray() / dm.multiplicity[gamma, None], np.eye(d))
     z = coarse.z.toarray()
@@ -328,7 +328,7 @@ class TestCoarseSpace:
     def test_box_classes_are_edges_and_cross_points(self, shape, n_classes):
         # b x b boxes: 2b(b - 1) edges and (b - 1)^2 cross points; 8 colours of classes
         n, boxes = shape
-        state = setup_solver(make_problem_2d(n, n, boxes, boxes), SolveConfig())
+        state = setup_solver(make_problem_2d(n, n, boxes, boxes))
         state.interior = CountingInterior(state.interior)
         coarse = build_coarse_space(state)
         assert coarse.z.shape[1] == n_classes
@@ -393,7 +393,7 @@ def assert_colourings_match_reference(problem):
     Classes of one colour share no subdomain; probe nodes of one colour share no row
     of the probe pattern.
     """
-    state = setup_solver(problem, SolveConfig())
+    state = setup_solver(problem)
     for pattern in (class_incidence(problem.decomposition), probe_pattern(state)):
         conflict = pattern.T @ pattern
         colours = _greedy_colours(conflict)
@@ -429,7 +429,7 @@ def heterogeneous_problem_2d(n, boxes, seed=7):
 def assert_probe_matches_dense_oracle(problem):
     """Probed entries are the colour sums of the dense Schur complement, on the pattern."""
     d = problem.matrix.block_dim
-    state = setup_solver(problem, SolveConfig())
+    state = setup_solver(problem)
     pattern = probe_pattern(state)
     # the node-level pattern of A_GG^2, with the diagonal
     gamma = flat_block_indices(problem.decomposition.interface_nodes, d)
@@ -479,7 +479,7 @@ class TestProbe:
     def test_raised_diagonal_makes_heterogeneous_probe_spd(self):
         # with coefficients 1e-3 .. 1e3 the symmetrized probe is indefinite; the raise fixes it
         problem = heterogeneous_problem_2d(33, 4)
-        state = setup_solver(problem, SolveConfig())
+        state = setup_solver(problem)
         raw = probe_interface_operator(state)
         assert np.linalg.eigvalsh(((raw + raw.T) / 2).toarray())[0] < 0
         m = dominant_symmetric_part(raw)
@@ -523,12 +523,12 @@ class TestBackSubstitute:
     def test_zero_everything(self, problem_1d5):
         problem = ProblemInstance(matrix=problem_1d5.matrix, rhs=np.zeros(5),
                                   decomposition=problem_1d5.decomposition)
-        state = setup_solver(problem, SolveConfig())
+        state = setup_solver(problem)
         assert np.all(back_substitute(state, np.zeros(2)) == 0.0)
 
     def test_single_subdomain_solves_whole_system(self):
         problem = make_problem_1d(5, 1)
-        state = setup_solver(problem, SolveConfig())
+        state = setup_solver(problem)
         u_interior = back_substitute(state, np.zeros(0))
         direct = np.linalg.solve(problem.matrix.csr.toarray(), problem.rhs)
         assert np.allclose(u_interior, direct, atol=1e-12)
@@ -678,7 +678,7 @@ class TestSolveDvs:
             "verify_ms", "total_ms",
         ])
         assert sorted(payload["config"].keys()) == sorted([
-            "tol", "max_iters", "krylov", "compare_direct", "primal",
+            "tol", "max_iters", "krylov", "compare_direct",
         ])
 
 
@@ -692,7 +692,7 @@ class TestVerifySolution:
     def test_corrupted_descendant_detected(self, problem_1d5):
         from edvs.solver import SolveReport
 
-        state = setup_solver(problem_1d5, SolveConfig())
+        state = setup_solver(problem_1d5)
         ds = state.space
         u = inject(np.array([0.5, 1.0, 1.5, 1.0, 0.5]), ds)
         u[3] += 1.0  # poison the second copy of node 2
