@@ -56,7 +56,6 @@ class DerivedSpace:
     interior_nodes: np.ndarray       # sorted interior node ids
     gamma_origin_flat: np.ndarray    # gamma-restricted flat -> interface-flat index
     interior_origin_flat: np.ndarray  # interior-restricted flat -> interior-flat index
-    gamma_weight_flat: np.ndarray
     gamma_inv_mult_flat: np.ndarray  # 1/m per interface-flat entry
 
     @property
@@ -117,7 +116,6 @@ def build_derived_space(dm: DecompositionMap, block_dim: int = 1) -> DerivedSpac
     interior_rank = np.searchsorted(interior_nodes, node_of[interior_positions])
     gamma_origin_flat = flat_block_indices(gamma_rank, d)
     interior_origin_flat = flat_block_indices(interior_rank, d)
-    gamma_weight_flat = np.repeat(inv_mult[node_of[gamma_positions]], d)
     gamma_inv_mult_flat = np.repeat(inv_mult[gamma_nodes], d)
 
     return DerivedSpace(
@@ -137,7 +135,6 @@ def build_derived_space(dm: DecompositionMap, block_dim: int = 1) -> DerivedSpac
         interior_nodes=interior_nodes,
         gamma_origin_flat=gamma_origin_flat,
         interior_origin_flat=interior_origin_flat,
-        gamma_weight_flat=gamma_weight_flat,
         gamma_inv_mult_flat=gamma_inv_mult_flat,
     )
 
@@ -242,15 +239,6 @@ def retract_interface(v_gamma: np.ndarray, ds: DerivedSpace) -> np.ndarray:
     np.add.at(out, ds.gamma_origin_flat, v_gamma)
     out *= ds.gamma_inv_mult_flat
     return out
-
-
-def project_continuous_interface(v_gamma: np.ndarray, ds: DerivedSpace) -> np.ndarray:
-    return inject_interface(retract_interface(v_gamma, ds), ds)
-
-
-def inner_interface(u: np.ndarray, v: np.ndarray, ds: DerivedSpace) -> float:
-    """Weighted inner product restricted to interface derived entries."""
-    return float(np.dot(u * ds.gamma_weight_flat, v))
 
 
 # ---------------------------------------------------------------------------

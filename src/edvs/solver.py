@@ -2,9 +2,17 @@
 
 Pipeline: inject the right-hand side, factor the interior block A_II (exactly
 block-diagonal by subdomain under locality) with one sparse LU, run a
-conjugate-gradient (or restarted GMRES) iteration on the continuous interface
-subspace under the weighted inner product, back-substitute the interior
-values, and certify the retracted solution against the original system.
+conjugate-gradient (or restarted GMRES) iteration on the interface, back-
+substitute the interior values, and certify the retracted solution against
+the original system.
+
+The continuous interface subspace is the image of injection, and under the
+1/m-weighted inner product injection is an isometry.  So a Krylov method on
+continuous interface vectors is, step for step, the same method on
+interface-node values with the Euclidean inner product: `solve_interface`
+retracts the right-hand side once, iterates on node values with the Schur
+operator A_GG - A_GI A_II^-1 A_IG, and injects the result once.  The exit
+iterate is continuous by construction.
 
 Conjugate gradients is deflated by a coarse space Z of interface classes
 (Nicolaides 1987; the "DEF" variant of Tang, Nabben, Vuik & Erlangga 2009).
@@ -26,6 +34,7 @@ stays on the true residual.  GMRES is neither deflated nor preconditioned.
 """
 from __future__ import annotations
 
+import numbers
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -39,9 +48,7 @@ from .derived import (
     build_derived_space,
     flat_block_indices,
     inject_interface,
-    inner_interface,
     norm_derived,
-    project_continuous_interface,
     project_zero_average,
     retract,
     retract_interface,
@@ -80,10 +87,11 @@ class SolveConfig:
     compare_direct: bool = False
 
     def __post_init__(self):
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise ConfigError(f"tol must be finite and positive, got {self.tol}")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not (isinstance(self.tol, numbers.Real) and np.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError(f"tol must be finite and positive, got {self.tol!r}")
+        if self.max_iters is not None and not (isinstance(self.max_iters, numbers.Integral)
+                                               and self.max_iters >= 1):
+            raise ConfigError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if self.krylov not in ("cg", "gmres"):
             raise ConfigError(f"krylov must be 'cg' or 'gmres', got {self.krylov!r}")
 
@@ -182,7 +190,6 @@ class SolverState:
     space: DerivedSpace
     blocks: InterfaceBlocks     # A_II, A_IG, A_GI, A_GG in sorted interior / interface order
     interior: InteriorFactorization | None = None
-    continuity_projections: int = 0
 
 
 def _build_state(problem: ProblemInstance) -> SolverState:
@@ -210,15 +217,11 @@ def apply_interface_operator(state: SolverState, v_gamma: np.ndarray) -> np.ndar
 
     Retract to interface-node values v, compute A_GG v - A_GI A_II^-1 A_IG v
     with the one interior factorization, and inject back.  Input that has
-    drifted off the continuous subspace is projected (the retraction is the
-    averaging) and counted on the state.
+    drifted off the continuous subspace is projected onto it, since the
+    retraction averages each descendant group.
     """
     ds = state.space
-    v_hat = retract_interface(v_gamma, ds)
-    drift = float(np.linalg.norm(v_gamma - inject_interface(v_hat, ds)))
-    if drift > 1e-12 * max(float(np.linalg.norm(v_gamma)), 1.0):
-        state.continuity_projections += 1
-    return inject_interface(_schur(state, v_hat), ds)
+    return inject_interface(_schur(state, retract_interface(v_gamma, ds)), ds)
 
 
 def _schur(state: SolverState, v_hat: np.ndarray) -> np.ndarray:
@@ -241,26 +244,21 @@ class CoarseSpace:
 
     `z` holds one indicator column per interface class and component, `sz_t`
     = (S z)' is stored transposed, as CSR, for its product in every
-    iteration, and `lu` is the sparse LU of E = z' S z.  The weighted inner
-    product of an injected column with a derived vector v is the column's
-    dot product with `retract_interface(v)`.
+    iteration, and `lu` is the sparse LU of E = z' S z.
     """
 
-    space: DerivedSpace
     z: sp.csr_matrix
     sz_t: sp.csr_matrix
     lu: object
 
     def correction(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Z E^-1 Z' v and S Z E^-1 Z' v, as continuous interface vectors."""
-        ds = self.space
-        c = self.lu.solve(self.z.T @ retract_interface(v, ds))
-        return inject_interface(self.z @ c, ds), inject_interface(self.sz_t.T @ c, ds)
+        """Z E^-1 Z' v and S Z E^-1 Z' v."""
+        c = self.lu.solve(self.z.T @ v)
+        return self.z @ c, self.sz_t.T @ c
 
     def deflate(self, v: np.ndarray) -> np.ndarray:
         """Z E^-1 (S Z)' v: the part of v that is not S-orthogonal to Z."""
-        c = self.lu.solve(self.sz_t @ retract_interface(v, self.space))
-        return inject_interface(self.z @ c, self.space)
+        return self.z @ self.lu.solve(self.sz_t @ v)
 
 
 def _greedy_colours(conflict: sp.spmatrix) -> np.ndarray:
@@ -338,7 +336,7 @@ def build_coarse_space(state: SolverState) -> CoarseSpace:
     except RuntimeError as err:
         raise _cg_breakdown(0, f"E = Z'SZ is singular ({err}): the interface operator is "
                                "not positive definite", [], None) from err
-    return CoarseSpace(space=ds, z=z, sz_t=sz.T.tocsr(), lu=lu)
+    return CoarseSpace(z=z, sz_t=sz.T.tocsr(), lu=lu)
 
 
 # a raised diagonal entry exceeds the rest of its row by this fraction; the
@@ -412,10 +410,8 @@ def dominant_symmetric_part(m: sp.spmatrix) -> sp.csr_matrix:
 
 
 def build_preconditioner(state: SolverState):
-    """Probe S, make the probe SPD, factor it once; returns r -> inject(M^-1 retract(r))."""
-    ds = state.space
-    lu = _splu(dominant_symmetric_part(probe_interface_operator(state)).tocsc())
-    return lambda r: inject_interface(lu.solve(retract_interface(r, ds)), ds)
+    """Probe S, make the probe SPD, factor it once; returns r -> M^-1 r."""
+    return _splu(dominant_symmetric_part(probe_interface_operator(state)).tocsc()).solve
 
 
 def _cg_breakdown(k, reason, history, best) -> ConvergenceError:
@@ -426,8 +422,8 @@ def _cg_breakdown(k, reason, history, best) -> ConvergenceError:
     )
 
 
-def _cg(apply_op, g, ip, reproject, build_coarse, build_precond, tol, max_iters):
-    """Deflated preconditioned conjugate gradients in the given inner product.
+def _cg(apply_op, g, build_coarse, build_precond, tol, max_iters):
+    """Deflated preconditioned conjugate gradients.
 
     Starts from the coarse solution, so the residual r stays orthogonal to
     the coarse space, and removes the coarse component in the S inner
@@ -437,13 +433,13 @@ def _cg(apply_op, g, ip, reproject, build_coarse, build_precond, tol, max_iters)
     when needed: not at all for a zero right-hand side, and the
     preconditioner only when the coarse solve leaves work.
     """
-    g_norm = np.sqrt(max(ip(g, g), 0.0))
+    g_norm = np.linalg.norm(g)
     if g_norm == 0.0:
         return np.zeros_like(g), [], 0
     coarse = build_coarse()
     x, s_x = coarse.correction(g)
-    r = reproject(g - s_x)
-    if np.sqrt(max(ip(r, r), 0.0)) <= tol * g_norm:
+    r = g - s_x
+    if np.linalg.norm(r) <= tol * g_norm:
         # the coarse space solved it; a direction built from round-off could not be trusted
         return x, [], 0
     precond = build_precond()
@@ -452,7 +448,7 @@ def _cg(apply_op, g, ip, reproject, build_coarse, build_precond, tol, max_iters)
     ry = 1.0
     for k in range(1, max_iters + 1):
         y = precond(r)
-        ry_new = ip(r, y)
+        ry_new = np.dot(r, y)
         if not ry_new > 0.0:
             raise _cg_breakdown(k, f"r'M^-1 r = {ry_new:.3e} <= 0: the preconditioner is not "
                                    "positive definite", history, x)
@@ -460,17 +456,17 @@ def _cg(apply_op, g, ip, reproject, build_coarse, build_precond, tol, max_iters)
         p = y + beta * p - coarse.deflate(y)
         ry = ry_new
         q = apply_op(p)
-        pq = ip(p, q)
+        pq = np.dot(p, q)
         if not pq > 0.0:
             raise _cg_breakdown(k, f"p'Ap = {pq:.3e} <= 0: the interface operator is not "
                                    "positive definite", history, x)
         alpha = ry / pq
-        r = reproject(r - alpha * q)
-        rr = ip(r, r)
-        if not np.isfinite(rr):
-            raise _cg_breakdown(k, f"squared residual norm is {rr}", history, x)
-        x = reproject(x + alpha * p)
-        rel = np.sqrt(max(rr, 0.0)) / g_norm
+        r = r - alpha * q
+        r_norm = np.linalg.norm(r)
+        if not np.isfinite(r_norm):
+            raise _cg_breakdown(k, f"residual norm is {r_norm}", history, x)
+        x = x + alpha * p
+        rel = r_norm / g_norm
         history.append(float(rel))
         if rel <= tol:
             return x, history, k
@@ -482,17 +478,17 @@ def _cg(apply_op, g, ip, reproject, build_coarse, build_precond, tol, max_iters)
     )
 
 
-def _gmres(apply_op, g, ip, reproject, tol, max_iters, restart=30):
-    """Restarted GMRES in the given inner product (modified Gram-Schmidt, Givens)."""
+def _gmres(apply_op, g, tol, max_iters, restart=30):
+    """Restarted GMRES (modified Gram-Schmidt, Givens)."""
     x = np.zeros_like(g)
-    g_norm = np.sqrt(max(ip(g, g), 0.0))
+    g_norm = np.linalg.norm(g)
     if g_norm == 0.0:
         return x, [], 0
     history = []
     total = 0
     while total < max_iters:
-        r = reproject(g - apply_op(x))
-        beta = np.sqrt(max(ip(r, r), 0.0))
+        r = g - apply_op(x)
+        beta = np.linalg.norm(r)
         if beta / g_norm <= tol:
             return x, history, total
         m = min(restart, max_iters - total)
@@ -504,11 +500,11 @@ def _gmres(apply_op, g, ip, reproject, tol, max_iters, restart=30):
         s[0] = beta
         inner = 0
         for j in range(m):
-            w = reproject(apply_op(basis[j]))
+            w = apply_op(basis[j])
             for i in range(j + 1):
-                h[i, j] = ip(w, basis[i])
+                h[i, j] = np.dot(w, basis[i])
                 w = w - h[i, j] * basis[i]
-            h_next = np.sqrt(max(ip(w, w), 0.0))
+            h_next = np.linalg.norm(w)
             h[j + 1, j] = h_next
             for i in range(j):
                 hi = cs[i] * h[i, j] + sn[i] * h[i + 1, j]
@@ -539,7 +535,6 @@ def _gmres(apply_op, g, ip, reproject, tol, max_iters, restart=30):
         y = np.linalg.solve(h[:inner, :inner], s[:inner])
         for i in range(inner):
             x = x + y[i] * basis[i]
-        x = reproject(x)
         if history and history[-1] <= tol:
             return x, history, total
     raise ConvergenceError(
@@ -559,34 +554,35 @@ def _max_iters(cfg: SolveConfig, ds: DerivedSpace) -> int:
 def solve_interface(state: SolverState, g_gamma: np.ndarray, cfg: SolveConfig):
     """Krylov-solve the continuous interface system; returns (u_gamma, history, iterations).
 
-    The residual is measured in the weighted norm relative to the right-hand
-    side; the iterate is re-projected onto the continuous subspace every
-    iteration, so the exit iterate satisfies the continuity constraint to
-    machine precision.  CG is deflated by the coarse space and preconditioned
-    by the probe, both built here when needed, so `iterations` counts the
-    Krylov steps after the coarse solve.
+    The right-hand side is retracted once, the Krylov method runs on
+    interface-node values, and the result (or the `best` iterate of a
+    ConvergenceError) is injected once, so it is continuous by construction.
+    The Euclidean norm of node values is the weighted norm of their
+    injection, so the residual history is the weighted-norm residual
+    relative to the right-hand side.  CG is deflated by the coarse space and
+    preconditioned by the probe, both built here when needed, so
+    `iterations` counts the Krylov steps after the coarse solve.
     """
     ds = state.space
     if cfg.krylov == "cg" and not state.problem.matrix.symmetric:
         raise ConfigError("cg requires a symmetric matrix; use krylov='gmres'")
-    n_gamma_flat = len(ds.gamma_positions) * ds.block_dim
-    if g_gamma.shape != (n_gamma_flat,):
-        raise ValueError(f"expected interface vector of length {n_gamma_flat}")
+    g_hat = retract_interface(g_gamma, ds)
     max_iters = _max_iters(cfg, ds)
 
-    def ip(a, b):
-        return inner_interface(a, b, ds)
-
-    def reproject(v):
-        return project_continuous_interface(v, ds)
-
     def op(v):
-        return apply_interface_operator(state, v)
+        return _schur(state, v)
 
-    if cfg.krylov == "gmres":
-        return _gmres(op, g_gamma, ip, reproject, cfg.tol, max_iters)
-    return _cg(op, g_gamma, ip, reproject, lambda: build_coarse_space(state),
-               lambda: build_preconditioner(state), cfg.tol, max_iters)
+    try:
+        if cfg.krylov == "gmres":
+            x, history, iters = _gmres(op, g_hat, cfg.tol, max_iters)
+        else:
+            x, history, iters = _cg(op, g_hat, lambda: build_coarse_space(state),
+                                    lambda: build_preconditioner(state), cfg.tol, max_iters)
+    except ConvergenceError as e:
+        if e.best is not None:
+            e.best = inject_interface(e.best, ds)
+        raise
+    return inject_interface(x, ds), history, iters
 
 
 def back_substitute(state: SolverState, u_gamma: np.ndarray) -> np.ndarray:

@@ -207,6 +207,8 @@ class TestVerify:
                          cwd=tmp_path)
         payload = json.loads(result.stdout)
         assert payload["multiplicity_histogram"] == {"1": 16, "2": 8, "4": 1}
+        # one derived node per (node, subdomain): 16 + 2*8 + 4*1
+        assert payload["n_derived"] == 36
 
     def test_uncovered_node_fails(self, generated_1d):
         (generated_1d / "bad.part").write_text("0 0\n1 0\n2 0\n4 1\n")
