@@ -31,11 +31,12 @@ def flat_block_indices(nodes: np.ndarray, block_dim: int) -> np.ndarray:
 class DerivedSpace:
     """Indexed derived node set with its interior/interface split and reduction machinery.
 
-    Derived nodes are ordered by subdomain, then node, so each subdomain's
-    nodes occupy one contiguous slice (`subdomain_ranges`).  Descendant groups
-    (all derived nodes of one original node) are reachable through
-    `descendant_ptr`/`descendant_positions` in ascending-subdomain order.
-    All index arrays ending in `_flat` address scalar entries (d per node).
+    Derived nodes are ordered by subdomain, then node: the column-major order
+    of `decomposition.incidence`.  Each subdomain's nodes occupy one
+    contiguous slice (`subdomain_ranges`), and a descendant group (all
+    derived nodes of one original node) is summed by one `np.bincount` over
+    `origin_flat`.  All index arrays ending in `_flat` address scalar
+    entries (d per node).
     """
 
     decomposition: DecompositionMap
@@ -43,8 +44,6 @@ class DerivedSpace:
     node_of: np.ndarray
     subdomain_of: np.ndarray
     subdomain_ranges: tuple[tuple[int, int], ...]
-    descendant_ptr: np.ndarray
-    descendant_positions: np.ndarray
     # scalar-level gather/scatter machinery
     origin_flat: np.ndarray          # derived flat -> original flat index
     weight_flat: np.ndarray          # 1/m(p) per derived flat entry
@@ -76,7 +75,7 @@ class DerivedSpace:
 
     def descendants(self, node: int) -> np.ndarray:
         """Derived positions of the given original node, ascending by subdomain."""
-        return self.descendant_positions[self.descendant_ptr[node]:self.descendant_ptr[node + 1]]
+        return np.flatnonzero(self.node_of == node)
 
 
 def build_derived_space(dm: DecompositionMap, block_dim: int = 1) -> DerivedSpace:
@@ -85,21 +84,10 @@ def build_derived_space(dm: DecompositionMap, block_dim: int = 1) -> DerivedSpac
     The solver needs no finer classification: the coarse space of interface
     classes (`solver.build_coarse_space`) is computed from the partition.
     """
-    node_of = np.concatenate([g for g in dm.subdomain_nodes]) if dm.n_subdomains else np.array([])
-    node_of = node_of.astype(np.int64)
-    subdomain_of = np.concatenate(
-        [np.full(len(g), a, dtype=np.int64) for a, g in enumerate(dm.subdomain_nodes)]
-    )
-    ranges = []
-    start = 0
-    for g in dm.subdomain_nodes:
-        ranges.append((start, start + len(g)))
-        start += len(g)
-
-    # stable sort by node groups descendants; ties keep derived order = ascending subdomain
-    descendant_positions = np.argsort(node_of, kind="stable").astype(np.int64)
-    descendant_ptr = np.zeros(dm.n_nodes + 1, dtype=np.int64)
-    descendant_ptr[1:] = np.cumsum(dm.multiplicity)
+    csc = dm.incidence.tocsc()  # row indices come out sorted within each column
+    node_of = csc.indices.astype(np.int64)
+    subdomain_of = np.repeat(np.arange(dm.n_subdomains, dtype=np.int64), np.diff(csc.indptr))
+    bounds = csc.indptr.tolist()
 
     d = block_dim
     origin_flat = flat_block_indices(node_of, d)
@@ -123,9 +111,7 @@ def build_derived_space(dm: DecompositionMap, block_dim: int = 1) -> DerivedSpac
         block_dim=d,
         node_of=node_of,
         subdomain_of=subdomain_of,
-        subdomain_ranges=tuple(ranges),
-        descendant_ptr=descendant_ptr,
-        descendant_positions=descendant_positions,
+        subdomain_ranges=tuple(zip(bounds[:-1], bounds[1:])),
         origin_flat=origin_flat,
         weight_flat=weight_flat,
         original_inv_mult_flat=original_inv_mult_flat,
@@ -181,10 +167,8 @@ def retract(u: np.ndarray, ds: DerivedSpace) -> np.ndarray:
     """
     if u.shape != (ds.derived_flat_size,):
         raise ValueError(f"expected length {ds.derived_flat_size}, got {u.shape}")
-    out = np.zeros(ds.original_flat_size)
-    np.add.at(out, ds.origin_flat, u)
-    out *= ds.original_inv_mult_flat
-    return out
+    total = np.bincount(ds.origin_flat, weights=u, minlength=ds.original_flat_size)
+    return total * ds.original_inv_mult_flat
 
 
 def project_continuous(u: np.ndarray, ds: DerivedSpace) -> np.ndarray:
@@ -235,10 +219,9 @@ def retract_interface(v_gamma: np.ndarray, ds: DerivedSpace) -> np.ndarray:
     expected = len(ds.gamma_positions) * ds.block_dim
     if v_gamma.shape != (expected,):
         raise ValueError(f"expected length {expected}, got {v_gamma.shape}")
-    out = np.zeros(len(ds.gamma_nodes) * ds.block_dim)
-    np.add.at(out, ds.gamma_origin_flat, v_gamma)
-    out *= ds.gamma_inv_mult_flat
-    return out
+    total = np.bincount(ds.gamma_origin_flat, weights=v_gamma,
+                        minlength=len(ds.gamma_inv_mult_flat))
+    return total * ds.gamma_inv_mult_flat
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ The dual of an original operator acts on continuous derived vectors by
 retracting, applying the original matrix, and injecting back.  Splitting the
 matrix by subdomain (each entry assigned to exactly one shared subdomain)
 turns the middle step into one block-diagonal multiply in derived order
-followed by one averaging over descendant groups (`project_continuous`).
+followed by one sum over each descendant group (one `np.bincount`).  The
+derived order and the subdomain slices are read from the `DerivedSpace`.
 """
 from __future__ import annotations
 
@@ -15,8 +16,10 @@ import scipy.sparse as sp
 
 from .derived import (
     DerivedSpace,
+    build_derived_space,
     continuity_defect,
     flat_block_indices,
+    inject,
     inject_interface,
     project_continuous,
     retract,
@@ -68,17 +71,17 @@ class SubdomainSlice:
     matrix: sp.csr_matrix    # (len(nodes)*d, len(nodes)*d)
 
 
-def _owner_split(matrix: OriginalMatrix, dm: DecompositionMap) -> sp.csr_matrix:
+def _owner_split(matrix: OriginalMatrix, ds: DerivedSpace) -> sp.csr_matrix:
     """The owner split as one block-diagonal matrix in derived order.
 
     Each nonzero goes to the lowest-index subdomain shared by its node pair,
     at the derived rows and columns of that subdomain's copies of the pair.
-    Derived order is by subdomain, then node, which is the column-major
-    order of the incidence matrix, so the derived position of (p, a) is
-    the rank of the key a*N + p among the incidence keys.  Requires
-    locality (every pair shares a subdomain).
+    Derived order is by subdomain, then node, so the derived position of
+    (p, a) is the rank of the key a*N + p among the sorted keys of the
+    space.  Requires locality (every pair shares a subdomain).
     """
     d = matrix.block_dim
+    dm = ds.decomposition
     n = dm.n_nodes
     coo = matrix.csr.tocoo()
     shared = dm.shared_subdomains(coo.row // d, coo.col // d)
@@ -91,10 +94,8 @@ def _owner_split(matrix: OriginalMatrix, dm: DecompositionMap) -> sp.csr_matrix:
     # the first, hence lowest, shared subdomain, times N
     owner_base = shared.indices[shared.indptr[:-1]].astype(np.int64) * n
     del shared, counts  # freed before the index arrays are built: this keeps peak memory down
-    csc = dm.incidence.tocsc()  # row indices come out sorted within each column
-    key = np.repeat(np.arange(dm.n_subdomains, dtype=np.int64) * n, np.diff(csc.indptr))
-    key += csc.indices
-    size = len(key) * d
+    key = ds.subdomain_of * n + ds.node_of
+    size = ds.derived_flat_size
 
     def derived_flat(flat):
         pos = np.searchsorted(key, owner_base + flat // d)
@@ -109,14 +110,13 @@ def _owner_split(matrix: OriginalMatrix, dm: DecompositionMap) -> sp.csr_matrix:
     return local
 
 
-def _cut_slices(local: sp.csr_matrix, dm: DecompositionMap, d: int) -> tuple[SubdomainSlice, ...]:
+def _cut_slices(local: sp.csr_matrix, ds: DerivedSpace) -> tuple[SubdomainSlice, ...]:
     """The per-subdomain slices: the diagonal blocks of `local`, one per subdomain."""
-    nodes = dm.subdomain_nodes
-    bounds = np.cumsum([0] + [len(g) * d for g in nodes]).tolist()
+    d = ds.block_dim
     return tuple(
-        SubdomainSlice(subdomain=a, nodes=nodes[a],
-                       matrix=local[bounds[a]:bounds[a + 1], bounds[a]:bounds[a + 1]])
-        for a in range(dm.n_subdomains)
+        SubdomainSlice(subdomain=a, nodes=ds.node_of[start:stop],
+                       matrix=local[start * d:stop * d, start * d:stop * d])
+        for a, (start, stop) in enumerate(ds.subdomain_ranges)
     )
 
 
@@ -127,7 +127,8 @@ def split_by_subdomain(matrix: OriginalMatrix, dm: DecompositionMap) -> list[Sub
     same dual operator, so the deterministic lowest-index rule is chosen for
     reproducibility.  Requires locality (every pair shares a subdomain).
     """
-    return list(_cut_slices(_owner_split(matrix, dm), dm, matrix.block_dim))
+    ds = build_derived_space(dm, block_dim=matrix.block_dim)
+    return list(_cut_slices(_owner_split(matrix, ds), ds))
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,25 +139,22 @@ class DualOperator:
     # the slices stacked block-diagonally in derived order: their gathers
     # concatenate to exactly `space.origin_flat`
     local: sp.csr_matrix
-    mult_flat: np.ndarray    # m(p) per derived flat row
     blocks: InterfaceBlocks
 
     @property
     def slices(self) -> tuple[SubdomainSlice, ...]:
         """The per-subdomain slices, cut out of the block-diagonal `local`."""
-        return _cut_slices(self.local, self.space.decomposition, self.space.block_dim)
+        return _cut_slices(self.local, self.space)
 
 
 def build_dual_operator(matrix: OriginalMatrix, ds: DerivedSpace) -> DualOperator:
-    dm = ds.decomposition
     d = matrix.block_dim
     if d != ds.block_dim:
         raise ValueError(f"matrix block_dim {d} does not match derived space {ds.block_dim}")
     return DualOperator(
         space=ds,
-        local=_owner_split(matrix, dm),
-        mult_flat=np.repeat(dm.multiplicity[ds.node_of].astype(np.float64), d),
-        blocks=interface_blocks(matrix, dm),
+        local=_owner_split(matrix, ds),
+        blocks=interface_blocks(matrix, ds.decomposition),
     )
 
 
@@ -169,9 +167,9 @@ def apply_dual(
     """Apply the dual operator to a continuous derived vector.
 
     Non-continuous input raises ContinuityError unless `project=True`, which
-    first replaces u by its continuous part.  The local products are scaled by
-    row multiplicity before the averaging so that descendant groups
-    accumulate the plain sum of slice contributions.
+    first replaces u by its continuous part.  Each descendant group's rows of
+    the local products are summed, which adds up the contributions of all the
+    slices, and the sum is injected back to the group.
     """
     ds = op.space
     if u.shape != (ds.derived_flat_size,):
@@ -185,7 +183,8 @@ def apply_dual(
             )
         u = project_continuous(u, ds)
     u_hat = retract(u, ds)
-    return project_continuous(op.mult_flat * (op.local @ u_hat[ds.origin_flat]), ds)
+    local = op.local @ u_hat[ds.origin_flat]
+    return inject(np.bincount(ds.origin_flat, weights=local, minlength=ds.original_flat_size), ds)
 
 
 def apply_block(op: DualOperator, block: str, v: np.ndarray) -> np.ndarray:

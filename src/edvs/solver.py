@@ -46,10 +46,9 @@ import scipy.sparse.linalg as spla
 from .derived import (
     DerivedSpace,
     build_derived_space,
+    continuity_defect,
     flat_block_indices,
     inject_interface,
-    norm_derived,
-    project_zero_average,
     retract,
     retract_interface,
 )
@@ -129,6 +128,9 @@ class InteriorFactorization:
 
 # SuperLU's panel width, in columns; see `_splu`
 _PANEL_SIZE = 2
+# GMRES restarts after this many steps: the basis then never holds more than
+# 30 interface vectors, which bounds its memory and its Gram-Schmidt work
+_GMRES_RESTART = 30
 
 
 def _splu(csc: sp.csc_matrix):
@@ -478,7 +480,7 @@ def _cg(apply_op, g, build_coarse, build_precond, tol, max_iters):
     )
 
 
-def _gmres(apply_op, g, tol, max_iters, restart=30):
+def _gmres(apply_op, g, tol, max_iters):
     """Restarted GMRES (modified Gram-Schmidt, Givens)."""
     x = np.zeros_like(g)
     g_norm = np.linalg.norm(g)
@@ -491,7 +493,7 @@ def _gmres(apply_op, g, tol, max_iters, restart=30):
         beta = np.linalg.norm(r)
         if beta / g_norm <= tol:
             return x, history, total
-        m = min(restart, max_iters - total)
+        m = min(_GMRES_RESTART, max_iters - total)
         basis = [r / beta]
         h = np.zeros((m + 1, m))
         cs = np.zeros(m)
@@ -619,8 +621,7 @@ def verify_solution(problem: ProblemInstance, u_hat: np.ndarray, u: np.ndarray,
     f_norm = float(np.linalg.norm(f_hat))
     rel_residual = residual / f_norm if f_norm > 0 else residual
     duality = float(np.max(np.abs(u - u_hat[ds.origin_flat]))) if u.size else 0.0
-    u_norm = norm_derived(u, ds)
-    continuity = norm_derived(project_zero_average(u, ds), ds) / u_norm if u_norm > 0 else 0.0
+    continuity = continuity_defect(u, ds)
     report.final_original_residual = rel_residual
     report.duality_defect = duality
     report.continuity_defect = continuity

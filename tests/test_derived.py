@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from edvs.derived import (
     build_derived_space,
     continuity_defect,
+    flat_block_indices,
     inject,
     inject_interface,
     inner_derived,
@@ -260,3 +261,29 @@ def test_classification_decomposes_derived_set(ds):
     for start, stop in ds.subdomain_ranges:
         total += stop - start
     assert total == ds.n_derived
+
+
+@settings(max_examples=60, deadline=None)
+@given(ds=decomposition_spaces(), seed=st.integers(0, 2**32 - 1))
+def test_derived_order_and_group_sums(ds, seed):
+    dm = ds.decomposition
+    # derived order is by subdomain, then node: the column-major order of `incidence`
+    pairs = sorted((a, p) for p, ms in enumerate(dm.memberships) for a in ms)
+    assert list(zip(ds.subdomain_of.tolist(), ds.node_of.tolist())) == pairs
+    sizes = [stop - start for start, stop in ds.subdomain_ranges]
+    assert [start for start, _ in ds.subdomain_ranges] == np.cumsum([0] + sizes[:-1]).tolist()
+    assert np.array_equal(np.repeat(np.arange(dm.n_subdomains), sizes), ds.subdomain_of)
+    for p in range(ds.n_original):
+        group = ds.descendants(p)
+        assert np.all(ds.node_of[group] == p)
+        assert ds.subdomain_of[group].tolist() == list(dm.memberships[p])
+    # each group sum equals an unbuffered sequential scatter bit for bit
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(ds.derived_flat_size)
+    want = np.zeros(ds.original_flat_size)
+    np.add.at(want, ds.origin_flat, u)
+    assert np.array_equal(retract(u, ds), want * ds.original_inv_mult_flat)
+    v = u[flat_block_indices(ds.gamma_positions, ds.block_dim)]
+    want = np.zeros(len(ds.gamma_nodes) * ds.block_dim)
+    np.add.at(want, ds.gamma_origin_flat, v)
+    assert np.array_equal(retract_interface(v, ds), want * ds.gamma_inv_mult_flat)

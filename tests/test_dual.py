@@ -158,15 +158,16 @@ class TestApplyDual:
     @settings(max_examples=40, deadline=None)
     @given(problem=local_problems())
     def test_matches_matvec_with_multiplicity_3(self, problem):
-        ds = build_derived_space(problem.decomposition, block_dim=problem.matrix.block_dim)
-        assert ds.decomposition.multiplicity.max() >= 3
-        op = build_dual_operator(problem.matrix, ds)
-        rng = np.random.default_rng(11)
-        for _ in range(3):
-            u = inject(rng.standard_normal(ds.original_flat_size), ds)
-            want = inject(problem.matrix.csr @ retract(u, ds), ds)
-            got = apply_dual(op, u)
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        for dm in (problem.decomposition, with_empty_subdomain(problem.decomposition)):
+            ds = build_derived_space(dm, block_dim=problem.matrix.block_dim)
+            assert ds.decomposition.multiplicity.max() >= 3
+            op = build_dual_operator(problem.matrix, ds)
+            rng = np.random.default_rng(11)
+            for _ in range(3):
+                u = inject(rng.standard_normal(ds.original_flat_size), ds)
+                want = inject(problem.matrix.csr @ retract(u, ds), ds)
+                got = apply_dual(op, u)
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestApplyBlock:
