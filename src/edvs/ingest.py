@@ -490,10 +490,13 @@ def node_pairs(matrix: OriginalMatrix) -> tuple[np.ndarray, np.ndarray]:
     Explicitly stored zeros count as structural entries.
     """
     d = matrix.block_dim
-    coo = matrix.csr.tocoo()
+    csr = matrix.csr
     n = matrix.n_nodes
+    # node p's row holds the entries of scalar rows p*d .. p*d+d-1; the
+    # copied indptr keeps sum_duplicates, which works in place, off `csr`
     pattern = sp.csr_matrix(
-        (np.ones(coo.nnz, dtype=np.int8), (coo.row // d, coo.col // d)), shape=(n, n)
+        (np.ones_like(csr.indices, dtype=np.int8), csr.indices // d, csr.indptr[::d].copy()),
+        shape=(n, n),
     )
     pattern.sum_duplicates()  # also sorts each row's columns
     pattern = pattern.tocoo()

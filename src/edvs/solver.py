@@ -23,14 +23,16 @@ class and component; these are linearly independent, so E = Z' S Z is
 nonsingular wherever S is definite.  E is sparse and is factored by the same
 sparse LU as A_II.  The coarse solve Z E^-1 Z' g is the starting iterate, and
 every search direction is made S-orthogonal to Z.  CG is also preconditioned
-by M ~ S, probed on the node pattern of A_GG^2 (Chan & Mathew 1992): one
-interior solve per colour and component, then symmetrized, with a diagonal
-entry raised wherever its row is not strictly diagonally dominant, so M is
-SPD, and factored once.  Z, S Z, the factor of E and M are built only when
-needed (M only when the coarse solve leaves work) and are interface-operator
-work, timed in `interface_ms`.  The iteration count is the number of Krylov
-steps after the coarse solve, 0 when Z spans the interface; the stopping test
-stays on the true residual.  GMRES is neither deflated nor preconditioned.
+by M ~ S, probed on the node pattern of A_GG^2 (Chan & Mathew 1992), then
+symmetrized, with a diagonal entry raised wherever its row is not strictly
+diagonally dominant, so M is SPD, and factored once.  S Z and the probe each
+take one interior right-hand side per colour and component, solved in
+blocks of a few columns per SuperLU call.  Z, S Z, the factor of E and M
+are built only when needed (M only when the coarse solve leaves work) and
+are interface-operator work, timed in `interface_ms`.  The iteration count
+is the number of Krylov steps after the coarse solve, 0 when Z spans the
+interface; the stopping test stays on the true residual.  GMRES is neither
+deflated nor preconditioned.
 """
 from __future__ import annotations
 
@@ -120,14 +122,21 @@ class InteriorFactorization:
     lu: object | None            # None when there are no interior nodes
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A_II x = rhs over all interior entries, in sorted interior order."""
+        """Solve A_II x = rhs over all interior entries, in sorted interior order.
+
+        `rhs` is one vector or a block of columns; with no interior nodes the
+        result is the empty array of the same shape.
+        """
         if self.lu is None:
-            return np.zeros(0)
+            return np.zeros(np.shape(rhs))
         return self.lu.solve(rhs)
 
 
 # SuperLU's panel width, in columns; see `_splu`
 _PANEL_SIZE = 2
+# right-hand sides per SuperLU solve in the coarse-space and probe builds; see
+# `_interior_solves`
+_SOLVE_BLOCK = 4
 # GMRES restarts after this many steps: the basis then never holds more than
 # 30 interface vectors, which bounds its memory and its Gram-Schmidt work
 _GMRES_RESTART = 30
@@ -232,6 +241,36 @@ def _schur(state: SolverState, v_hat: np.ndarray) -> np.ndarray:
     return b.gg @ v_hat - b.gi @ state.interior.solve(b.ig @ v_hat)
 
 
+def _interior_solves(state: SolverState, rhs: sp.spmatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The interior flat entries A_GI reads, and A_II^-1 rhs at those entries.
+
+    `rhs` is a build's sparse n_I x k right-hand sides.  At most
+    `_SOLVE_BLOCK` columns are densified at a time, in Fortran order, and
+    each block is one SuperLU solve; only the rows A_GI reads are kept.  On
+    a shared 2-vCPU host with one BLAS thread, one 4-column solve took
+    0.54-0.58 of the time of four single ones at 129^2 / 16x16 boxes and
+    0.41-0.65 at 257^2 / 4x4, over two measurements.  A block solve differs
+    from single solves at most in round-off and is the same for every BLAS
+    thread count.  Wider blocks save little more, and each is a dense array
+    with a row per interior entry: 9-column blocks raised the peak memory
+    of a 129^2 / 16x16 solve by 8-10%.
+    """
+    coupled = np.flatnonzero(np.diff(state.blocks.gi.tocsc().indptr))
+    rhs = rhs.tocsc()
+    x = np.empty((len(coupled), rhs.shape[1]))
+    for lo in range(0, rhs.shape[1], _SOLVE_BLOCK):
+        block = slice(lo, lo + _SOLVE_BLOCK)
+        x[:, block] = state.interior.solve(rhs[:, block].toarray(order="F"))[coupled]
+    return coupled, x
+
+
+def _indicator(group: np.ndarray, d: int, n_groups: int) -> sp.csr_matrix:
+    """One 1 per row: row p d + k is in column group[p] d + k."""
+    n_rows = len(group) * d
+    return sp.csr_matrix((np.ones(n_rows), flat_block_indices(group, d), np.arange(n_rows + 1)),
+                         shape=(n_rows, n_groups * d))
+
+
 def interface_rhs(state: SolverState) -> np.ndarray:
     """Condensed interface right-hand side as a continuous interface vector."""
     b = state.blocks
@@ -286,13 +325,14 @@ def _greedy_colours(conflict: sp.spmatrix) -> np.ndarray:
 def build_coarse_space(state: SolverState) -> CoarseSpace:
     """Z, S Z and the sparse LU of E = Z' S Z.
 
-    S Z = A_GG Z - A_GI A_II^-1 A_IG Z takes one interior solve per colour
-    and component, not one per column.  A class's column reaches only the
-    interior blocks of its own subdomains, and classes of one colour share
-    no subdomain: the solve with the colour's columns summed is split by the
-    member that touches each interior node's home subdomain.  The split
-    keeps only the entries A_GI reads, one colour at a time, which keeps the
-    peak memory near the size of S Z.  A singular E means S is not definite.
+    S Z = A_GG Z - A_GI A_II^-1 A_IG Z takes one interior right-hand side
+    per colour and component, not one per column, and these go through
+    SuperLU in blocks (`_interior_solves`).  A class's column reaches only
+    the interior blocks of its own subdomains, and classes of one colour
+    share no subdomain: each colour's solve is split by the member that
+    touches each interior node's home subdomain.  The split keeps only the
+    entries A_GI reads, so S Z is one sparse product.  A singular E means S
+    is not definite.
     """
     ds, b = state.space, state.blocks
     dm = ds.decomposition
@@ -303,35 +343,37 @@ def build_coarse_space(state: SolverState) -> CoarseSpace:
     node = np.repeat(np.arange(len(mult)), mult)
     sets = np.full((len(mult), mult.max()), -1)
     sets[node, np.arange(member.nnz) - member.indptr[node]] = member.indices
-    sets, of_node = np.unique(sets, axis=0, return_inverse=True)
+    # classes in lexicographic order of their sets, first column first
+    order = np.lexsort(sets.T[::-1])
+    sets = sets[order]
+    first = np.ones(len(sets), dtype=bool)
+    first[1:] = (sets[1:] != sets[:-1]).any(axis=1)
+    of_node = np.empty(len(order), dtype=np.int64)
+    of_node[order] = np.cumsum(first) - 1
+    sets = sets[first]
     cls, slot = np.nonzero(sets >= 0)
     touching = sp.csc_matrix((np.ones(len(cls)), (sets[cls, slot], cls)),
                              shape=(dm.n_subdomains, len(sets)))  # subdomain x class
-    n_rows, n_cols = len(mult) * d, len(sets) * d
-    # one 1 per row: the indicator of the row's class and component
-    z = sp.csr_matrix((np.ones(n_rows), flat_block_indices(of_node.ravel(), d),
-                       np.arange(n_rows + 1)), shape=(n_rows, n_cols))
+    z = _indicator(of_node, d, len(sets))
     colours = _greedy_colours(touching.T @ touching)
-    # the interior flat entries A_GI reads, and the home subdomain of each
-    coupled = np.flatnonzero(np.diff(b.gi.tocsc().indptr))
+    n_colours = colours.max() + 1
+    # A_II^-1 A_IG times each colour's columns of Z summed, where A_GI reads
+    # it, and the home subdomain of each entry read
+    coupled, x = _interior_solves(state, b.ig @ _indicator(colours[of_node], d, n_colours))
     home = dm.home[ds.interior_nodes[coupled // d]]
-    sz = b.gg @ z
-    for c in range(colours.max() + 1):
-        members = np.flatnonzero(colours == c)
-        near = np.full(dm.n_subdomains, -1)
-        touch = touching[:, members].tocoo()
-        near[touch.row] = members[touch.col]
-        owner = near[home]
-        reached = owner >= 0
-        for k in range(d):
-            picked = np.zeros(n_cols)
-            picked[members * d + k] = 1.0
-            x = state.interior.solve(b.ig @ (z @ picked))
-            # the colour's columns of A_II^-1 A_IG Z, where A_GI reads them
-            rows = coupled[reached]
-            split = sp.csr_matrix((x[rows], (rows, owner[reached] * d + k)),
-                                  shape=(len(b.interior_flat), n_cols))
-            sz = sz - b.gi @ split
+    # near[s, c]: the class of colour c that touches subdomain s, -1 if none
+    near = np.full((dm.n_subdomains, n_colours), -1)
+    touch = touching.tocoo()
+    near[touch.row, colours[touch.col]] = touch.col
+    # owner[i, c]: the class whose column gets colour c's solve at coupled entry i
+    owner = near[home]
+    entry, colour = np.nonzero(owner >= 0)
+    k = np.arange(d)
+    vals = x[entry[:, None], colour[:, None] * d + k].ravel()
+    rows = np.repeat(coupled[entry], d)
+    cols = (owner[entry, colour][:, None] * d + k).ravel()
+    split = sp.csr_matrix((vals, (rows, cols)), shape=(len(b.interior_flat), z.shape[1]))
+    sz = b.gg @ z - b.gi @ split
     e = (z.T @ sz).tocsc()
     try:
         lu = _splu(e)
@@ -366,23 +408,20 @@ def probe_interface_operator(state: SolverState) -> sp.csr_matrix:
     nodes of one colour.  S applied to the indicator of one colour and
     component then gives, in every row, the entry of the one pattern column
     of that colour, plus the entries of S off the pattern in that row and
-    colour.  One interior solve per colour and component: 9 on box partitions.
+    colour.  One interior right-hand side per colour and component, 9 on
+    box partitions, put through SuperLU in blocks (`_interior_solves`).
     """
     d = state.space.block_dim
+    b = state.blocks
     pattern = probe_pattern(state)
     # all entries are 1, so no sum in the square cancels: two nodes of one
     # colour are neither adjacent nor two steps apart
     colours = _greedy_colours(pattern @ pattern)
     pattern = pattern.tocoo()
-    n_colours = colours.max() + 1
     n_flat = len(colours) * d
-    probes = np.empty((n_flat, n_colours * d))
-    for c in range(n_colours):
-        members = np.flatnonzero(colours == c)
-        for k in range(d):
-            v = np.zeros(n_flat)
-            v[members * d + k] = 1.0
-            probes[:, c * d + k] = _schur(state, v)
+    v = _indicator(colours, d, colours.max() + 1)
+    coupled, x = _interior_solves(state, b.ig @ v)
+    probes = (b.gg @ v).toarray() - b.gi[:, coupled] @ x
     # d x d blocks: row component l, column component k
     l, k = (a.ravel() for a in np.meshgrid(np.arange(d), np.arange(d), indexing="ij"))
     rows = (pattern.row[:, None] * d + l).ravel()

@@ -60,6 +60,28 @@ def make_problem_3d(n, boxes):
     return ingest.ProblemInstance(matrix=matrix, rhs=np.ones(n ** 3), decomposition=dm)
 
 
+def make_problem_voronoi(n, k, seed):
+    """2D Poisson on an n x n grid over a seeded Voronoi partition of its cells.
+
+    Each of the (n - 1)^2 cells goes to the nearest of k uniform random
+    points, and a node joins the subdomain of every cell it is a corner of.
+    Neighbouring nodes share a cell, so the partition is exactly local; a
+    point nearest to no cell leaves its subdomain empty.  The rhs is seeded
+    too.
+    """
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(0.0, n - 1, size=(k, 2))
+    cy, cx = np.divmod(np.arange((n - 1) ** 2), n - 1)
+    centres = np.column_stack([cy, cx]) + 0.5
+    owner = ((centres[:, None, :] - points[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+    corners = [(cy + dy) * n + cx + dx for dy in (0, 1) for dx in (0, 1)]
+    dm = ingest.DecompositionMap.from_pairs(np.concatenate(corners), np.tile(owner, 4),
+                                            n * n, n_subdomains=k)
+    rhs = rng.standard_normal(n * n)
+    return ingest.ProblemInstance(matrix=ingest.generate_poisson_2d(n, n), rhs=rhs,
+                                  decomposition=dm)
+
+
 @st.composite
 def local_problems(draw):
     """Random SPD problems on non-box partitions that satisfy locality.

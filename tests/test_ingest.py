@@ -205,6 +205,20 @@ class TestLocality:
         dm = ingest.DecompositionMap.from_memberships([(0,), (0,), (1,), (1,), (1,)])
         assert ingest.validate_locality(m, dm).ok
 
+    def test_node_pairs_of_unsorted_block_matrix_with_duplicates(self):
+        # block_dim 2, 3 nodes; rows 0 and 1 list their columns out of order,
+        # row 1 repeats column 3, and the stored zero at (4, 0) still couples
+        # nodes 2 and 0
+        indptr = np.array([0, 3, 6, 7, 8, 10, 11])
+        indices = np.array([2, 0, 1, 3, 1, 3, 2, 3, 0, 4, 5])
+        data = np.array([1.0, 4.0, 1.0, 2.0, 4.0, 5.0, 4.0, 4.0, 0.0, 4.0, 4.0])
+        csr = sp.csr_matrix((data, indices, indptr), shape=(6, 6))
+        p, q = ingest.node_pairs(ingest.OriginalMatrix(csr=csr, block_dim=2))
+        assert csr.indptr.tolist() == indptr.tolist()  # the input is left as it was
+        rows = np.repeat(np.arange(6), np.diff(indptr))
+        expected = sorted({(r // 2, c // 2) for r, c in zip(rows, indices) if r // 2 != c // 2})
+        assert list(zip(p.tolist(), q.tolist())) == expected == [(0, 1), (2, 0)]
+
     @pytest.mark.parametrize("nx,ny,px,py", [(5, 1, 2, 1), (9, 1, 4, 1), (5, 5, 2, 2), (9, 9, 4, 4)])
     def test_generated_combinations_pass(self, nx, ny, px, py):
         m = ingest.generate_poisson_1d(nx) if ny == 1 else ingest.generate_poisson_2d(nx, ny)

@@ -12,6 +12,7 @@ from conftest import (
     make_problem_1d,
     make_problem_2d,
     make_problem_3d,
+    make_problem_voronoi,
     run_cli,
     with_empty_subdomain,
 )
@@ -145,6 +146,19 @@ class TestFactorInterior:
         expected = np.linalg.solve(a_ii, rhs)
         assert np.linalg.norm(fact.solve(rhs) - expected) <= 1e-12 * np.linalg.norm(expected)
 
+    def test_no_interior_solves_to_the_shape_of_the_rhs(self):
+        # every node in both subdomains: the builds pass (0, k) blocks
+        problem = make_problem_1d(5, 1)
+        dm = DecompositionMap.from_memberships([(0, 1)] * 5)
+        fact = factor_interior(problem.matrix, dm)
+        assert fact.lu is None
+        assert fact.solve(np.zeros(0)).shape == (0,)
+        assert fact.solve(np.zeros((0, 3), order="F")).shape == (0, 3)
+        problem = ProblemInstance(matrix=problem.matrix, rhs=problem.rhs, decomposition=dm)
+        _, report = solve_dvs(problem, SolveConfig(compare_direct=True))
+        assert report.converged
+        assert report.relative_error_vs_direct <= 1e-10
+
 
 class TestInterfaceOperator:
     def test_continuous_pair_gives_schur_value(self, state_1d5):
@@ -199,14 +213,14 @@ class TestInterfaceOperator:
 
 
 class CountingInterior:
-    """An interior factorization that counts its solves."""
+    """An interior factorization that counts the columns it solves for."""
 
     def __init__(self, inner):
         self.inner = inner
         self.calls = 0
 
     def solve(self, rhs):
-        self.calls += 1
+        self.calls += 1 if rhs.ndim == 1 else rhs.shape[1]
         return self.inner.solve(rhs)
 
 
@@ -260,7 +274,11 @@ class TestSolveInterface:
 
 def block_problem_2d(n, boxes):
     """2D Poisson with two coupled components per node (block_dim 2)."""
-    base = make_problem_2d(n, n, boxes, boxes)
+    return block_problem(make_problem_2d(n, n, boxes, boxes))
+
+
+def block_problem(base):
+    """`base`'s matrix with two coupled components per node (block_dim 2)."""
     csr = sp.kron(base.matrix.csr, sp.csr_matrix([[2.0, -0.5], [-0.5, 3.0]]), format="csr")
     matrix = OriginalMatrix(csr=csr, block_dim=2, symmetric=True)
     rhs = np.random.default_rng(2).standard_normal(csr.shape[0])
@@ -278,6 +296,10 @@ def assert_coarse_space_matches_dense_oracle(problem):
     z = coarse.z.toarray()
     n_classes = len({dm.memberships[p] for p in gamma})
     assert z.shape[1] == n_classes * d == np.linalg.matrix_rank(z)
+    # the columns follow the classes' subdomain sets in sorted order
+    sets = sorted({dm.memberships[p] for p in gamma})
+    of_node = [sets.index(dm.memberships[p]) for p in gamma]
+    assert np.array_equal(z, np.kron(np.eye(n_classes)[of_node], np.eye(d)))
     assert np.linalg.matrix_rank(np.hstack([z_ref, z])) == z.shape[1]
     sigma = dense_interface_operator(problem)
     scale = max(np.abs(sigma).max(), 1.0)
@@ -296,10 +318,18 @@ def seeded_solve(n, boxes, **cfg):
     return solve_dvs(make_problem_2d(n, n, boxes, boxes, rhs=rhs), SolveConfig(**cfg))
 
 
+# 29^2 over 16 Voronoi cells, multiplicity up to 4: 13 class colours and 11
+# probe colours, so both builds end on a partial solve block with one component
+# per node and with two
+VORONOI_29 = make_problem_voronoi(29, 16, seed=2)
+
+
 class TestCoarseSpace:
     @pytest.mark.parametrize("problem", [make_problem_1d(17, 4), make_problem_2d(9, 9, 2, 2),
-                                         make_problem_2d(17, 17, 4, 4), block_problem_2d(17, 4)],
-                             ids=["1d17x4", "2d9x2", "2d17x4", "2d17x4_d2"])
+                                         make_problem_2d(17, 17, 4, 4), block_problem_2d(17, 4),
+                                         VORONOI_29, block_problem(VORONOI_29)],
+                             ids=["1d17x4", "2d9x2", "2d17x4", "2d17x4_d2", "voronoi29",
+                                  "voronoi29_d2"])
     def test_matches_dense_oracle(self, problem):
         # 17^2 / 4x4 boxes: 33 classes, the 24 edges and the 9 cross points
         assert_coarse_space_matches_dense_oracle(problem)
@@ -336,6 +366,21 @@ class TestCoarseSpace:
         coarse = build_coarse_space(state)
         assert coarse.z.shape[1] == n_classes
         assert state.interior.calls == 8
+
+    def test_blocked_builds_match_single_column_solves_on_voronoi(self, monkeypatch):
+        # 129^2 over 256 Voronoi cells: 1100 classes in 22 colours, solved in
+        # blocks of 4, 4, 4, 4, 4 and 2 columns
+        state = setup_solver(make_problem_voronoi(129, 256, seed=1))
+        state.interior = CountingInterior(state.interior)
+        coarse = build_coarse_space(state)
+        assert coarse.z.shape[1] == 1100
+        assert state.interior.calls == 22
+        probe = probe_interface_operator(state)
+        monkeypatch.setattr(solver, "_SOLVE_BLOCK", 1)
+        single = build_coarse_space(state)
+        assert (single.z != coarse.z).nnz == 0
+        for got, want in ((coarse.sz_t, single.sz_t), (probe, probe_interface_operator(state))):
+            assert abs(got - want).max() <= 1e-14 * abs(want).max()
 
     @pytest.mark.parametrize("n, boxes", [(9, 2), (17, 4)])
     def test_3d_boxes_reach_multiplicity_8(self, n, boxes):
@@ -455,8 +500,9 @@ def assert_probe_matches_dense_oracle(problem):
 
 class TestProbe:
     @pytest.mark.parametrize("problem", [make_problem_1d(17, 4), make_problem_2d(17, 17, 4, 4),
-                                         block_problem_2d(17, 4)],
-                             ids=["1d17x4", "2d17x4", "2d17x4_d2"])
+                                         block_problem_2d(17, 4), VORONOI_29,
+                                         block_problem(VORONOI_29)],
+                             ids=["1d17x4", "2d17x4", "2d17x4_d2", "voronoi29", "voronoi29_d2"])
     def test_matches_dense_oracle(self, problem):
         assert_probe_matches_dense_oracle(problem)
 
