@@ -6,6 +6,9 @@ matrix by subdomain (each entry assigned to exactly one shared subdomain)
 turns the middle step into one block-diagonal multiply in derived order
 followed by one sum over each descendant group (one `np.bincount`).  The
 derived order and the subdomain slices are read from the `DerivedSpace`.
+The split is the operator's one copy of the matrix: each block of the 2x2
+interior/interface form is the operator applied to a vector that is zero
+off the block's input positions, read at its output positions.
 """
 from __future__ import annotations
 
@@ -20,46 +23,10 @@ from .derived import (
     continuity_defect,
     flat_block_indices,
     inject,
-    inject_interface,
-    project_continuous,
     retract,
-    retract_interface,
 )
 from .exceptions import ContinuityError, LocalityError
 from .ingest import DecompositionMap, OriginalMatrix
-
-
-@dataclass(frozen=True, eq=False)
-class InterfaceBlocks:
-    """The 2x2 interior/interface blocks of an original matrix.
-
-    Rows and columns follow the sorted interior nodes, then the sorted
-    interface nodes, d scalar entries per node.  Under locality `ii` is
-    block-diagonal by subdomain; it is stored as CSC for `splu`.
-    """
-
-    interior_flat: np.ndarray   # original flat indices of the interior rows
-    gamma_flat: np.ndarray      # original flat indices of the interface rows
-    ii: sp.csc_matrix
-    ig: sp.csr_matrix
-    gi: sp.csr_matrix
-    gg: sp.csr_matrix
-
-
-def interface_blocks(matrix: OriginalMatrix, dm: DecompositionMap) -> InterfaceBlocks:
-    """Slice A_II, A_IG, A_GI and A_GG once, in sorted interior / interface order."""
-    d = matrix.block_dim
-    i_flat = flat_block_indices(dm.interior_nodes, d)
-    g_flat = flat_block_indices(dm.interface_nodes, d)
-    csr = matrix.csr
-    return InterfaceBlocks(
-        interior_flat=i_flat,
-        gamma_flat=g_flat,
-        ii=csr[np.ix_(i_flat, i_flat)].tocsc(),
-        ig=csr[np.ix_(i_flat, g_flat)].tocsr(),
-        gi=csr[np.ix_(g_flat, i_flat)].tocsr(),
-        gg=csr[np.ix_(g_flat, g_flat)].tocsr(),
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,16 +51,13 @@ def _owner_split(matrix: OriginalMatrix, ds: DerivedSpace) -> sp.csr_matrix:
     dm = ds.decomposition
     n = dm.n_nodes
     coo = matrix.csr.tocoo()
-    shared = dm.shared_subdomains(coo.row // d, coo.col // d)
-    counts = np.diff(shared.indptr)
-    if not counts.all():
-        k = int(np.argmin(counts))
+    owner_base = dm.lowest_shared(coo.row // d, coo.col // d)
+    if (owner_base < 0).any():
+        k = int(np.argmax(owner_base < 0))
         raise LocalityError(
             f"entry ({coo.row[k] // d}, {coo.col[k] // d}) couples nodes with no shared subdomain"
         )
-    # the first, hence lowest, shared subdomain, times N
-    owner_base = shared.indices[shared.indptr[:-1]].astype(np.int64) * n
-    del shared, counts  # freed before the index arrays are built: this keeps peak memory down
+    owner_base *= n
     key = ds.subdomain_of * n + ds.node_of
     size = ds.derived_flat_size
 
@@ -139,7 +103,6 @@ class DualOperator:
     # the slices stacked block-diagonally in derived order: their gathers
     # concatenate to exactly `space.origin_flat`
     local: sp.csr_matrix
-    blocks: InterfaceBlocks
 
     @property
     def slices(self) -> tuple[SubdomainSlice, ...]:
@@ -151,37 +114,32 @@ def build_dual_operator(matrix: OriginalMatrix, ds: DerivedSpace) -> DualOperato
     d = matrix.block_dim
     if d != ds.block_dim:
         raise ValueError(f"matrix block_dim {d} does not match derived space {ds.block_dim}")
-    return DualOperator(
-        space=ds,
-        local=_owner_split(matrix, ds),
-        blocks=interface_blocks(matrix, ds.decomposition),
-    )
+    return DualOperator(space=ds, local=_owner_split(matrix, ds))
 
 
-def apply_dual(
-    op: DualOperator,
-    u: np.ndarray,
-    project: bool = False,
-    continuity_tol: float = 1e-10,
-) -> np.ndarray:
+# relative continuity defect above which `apply_dual` rejects its input
+CONTINUITY_TOL = 1e-10
+
+
+def apply_dual(op: DualOperator, u: np.ndarray, project: bool = False) -> np.ndarray:
     """Apply the dual operator to a continuous derived vector.
 
     Non-continuous input raises ContinuityError unless `project=True`, which
-    first replaces u by its continuous part.  Each descendant group's rows of
-    the local products are summed, which adds up the contributions of all the
-    slices, and the sum is injected back to the group.
+    applies the operator to u's continuous part: the retraction averages each
+    descendant group, so it sees only that part.  Each descendant group's
+    rows of the local products are summed, which adds up the contributions
+    of all the slices, and the sum is injected back to the group.
     """
     ds = op.space
     if u.shape != (ds.derived_flat_size,):
         raise ValueError(f"expected length {ds.derived_flat_size}, got {u.shape}")
-    defect = continuity_defect(u, ds)
-    if defect > continuity_tol:
-        if not project:
+    if not project:
+        defect = continuity_defect(u, ds)
+        if defect > CONTINUITY_TOL:
             raise ContinuityError(
-                f"input has continuity defect {defect:.3e} > {continuity_tol:.1e}; "
+                f"input has continuity defect {defect:.3e} > {CONTINUITY_TOL:.1e}; "
                 "pass project=True to project first"
             )
-        u = project_continuous(u, ds)
     u_hat = retract(u, ds)
     local = op.local @ u_hat[ds.origin_flat]
     return inject(np.bincount(ds.origin_flat, weights=local, minlength=ds.original_flat_size), ds)
@@ -191,40 +149,21 @@ def apply_block(op: DualOperator, block: str, v: np.ndarray) -> np.ndarray:
     """Apply one block of the 2x2 interior/interface form of the dual operator.
 
     Blocks: "II" (interior to interior, identical to the original block),
-    "IG" (retract interface input first), "GI" (inject interface output),
-    "GG" (both).  Interior-restricted vectors follow derived order; interface
-    inputs must lie in the continuous interface subspace.
+    "IG" (interface to interior), "GI" (interior to interface) and "GG".
+    Interior-restricted vectors follow derived order; an interface input is
+    projected onto the continuous interface subspace.  The block is the dual
+    operator applied to v extended by zeros, read at the output positions.
     """
+    if block not in ("II", "IG", "GI", "GG"):
+        raise ValueError(f"unknown block {block!r}; expected II, IG, GI or GG")
     ds = op.space
-    d = ds.block_dim
-    n_i = len(ds.interior_positions) * d
-    n_g = len(ds.gamma_positions) * d
-
-    def interior_to_original(x):
-        out = np.empty(len(ds.interior_nodes) * d)
-        out[ds.interior_origin_flat] = x
-        return out
-
-    def original_to_interior(x):
-        return x[ds.interior_origin_flat]
-
-    if block == "II":
-        if v.shape != (n_i,):
-            raise ValueError(f"block II expects length {n_i}, got {v.shape}")
-        return original_to_interior(op.blocks.ii @ interior_to_original(v))
-    if block == "IG":
-        if v.shape != (n_g,):
-            raise ValueError(f"block IG expects length {n_g}, got {v.shape}")
-        return original_to_interior(op.blocks.ig @ retract_interface(v, ds))
-    if block == "GI":
-        if v.shape != (n_i,):
-            raise ValueError(f"block GI expects length {n_i}, got {v.shape}")
-        return inject_interface(op.blocks.gi @ interior_to_original(v), ds)
-    if block == "GG":
-        if v.shape != (n_g,):
-            raise ValueError(f"block GG expects length {n_g}, got {v.shape}")
-        return inject_interface(op.blocks.gg @ retract_interface(v, ds), ds)
-    raise ValueError(f"unknown block {block!r}; expected II, IG, GI or GG")
+    positions = {"I": ds.interior_positions, "G": ds.gamma_positions}
+    rows, cols = (flat_block_indices(positions[side], ds.block_dim) for side in block)
+    if v.shape != (len(cols),):
+        raise ValueError(f"block {block} expects length {len(cols)}, got {v.shape}")
+    u = np.zeros(ds.derived_flat_size)
+    u[cols] = v
+    return apply_dual(op, u, project=True)[rows]
 
 
 def slices_sum(op: DualOperator) -> sp.csr_matrix:

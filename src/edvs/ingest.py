@@ -76,11 +76,21 @@ class DecompositionMap:
         csc = self.incidence.tocsc()  # row indices come out sorted within each column
         return tuple(np.split(csc.indices.astype(np.int64), csc.indptr[1:-1]))
 
-    def shared_subdomains(self, p: np.ndarray, q: np.ndarray) -> sp.csr_matrix:
-        """Row k lists, in ascending order, the subdomains shared by nodes p[k] and q[k]."""
-        shared = self.incidence[p].multiply(self.incidence[q]).tocsr()
+    def lowest_shared(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Per pair k, the lowest subdomain shared by nodes p[k] and q[k], -1 if none.
+
+        Where the homes agree, that home is the answer; only the other pairs
+        (those with an interface node, or a locality violation) have their
+        incidence rows intersected.
+        """
+        lowest = self.home[p].astype(np.int64)
+        rest = np.flatnonzero(lowest != self.home[q])
+        shared = self.incidence[p[rest]].multiply(self.incidence[q[rest]]).tocsr()
         shared.sort_indices()
-        return shared
+        found = np.diff(shared.indptr) > 0
+        lowest[rest] = -1
+        lowest[rest[found]] = shared.indices[shared.indptr[:-1][found]]
+        return lowest
 
     @staticmethod
     def from_pairs(nodes, subdomains, n_nodes: int, n_subdomains=None) -> "DecompositionMap":
@@ -513,16 +523,7 @@ def validate_locality(matrix: OriginalMatrix, dm: DecompositionMap) -> LocalityR
     if matrix.n_nodes != dm.n_nodes:
         raise ValueError(f"matrix has {matrix.n_nodes} nodes, partition {dm.n_nodes}")
     p, q = node_pairs(matrix)
-    # an interior node's home, -1 on the interface: two interior nodes share a
-    # subdomain exactly when their homes agree, so only pairs with an
-    # interface node need their incidence rows intersected
-    home = np.where(dm.multiplicity == 1, dm.home, -1)
-    hp, hq = home[p], home[q]
-    both = (hp >= 0) & (hq >= 0)
-    violates = both & (hp != hq)
-    rest = np.flatnonzero(~both)
-    violates[rest[dm.shared_subdomains(p[rest], q[rest]).getnnz(axis=1) == 0]] = True
-    bad = np.flatnonzero(violates)
+    bad = np.flatnonzero(dm.lowest_shared(p, q) < 0)
     shown = bad[:20]
     return LocalityReport(
         ok=bad.size == 0,

@@ -4,7 +4,9 @@ Pipeline: inject the right-hand side, factor the interior block A_II (exactly
 block-diagonal by subdomain under locality) with one sparse LU, run a
 conjugate-gradient (or restarted GMRES) iteration on the interface, back-
 substitute the interior values, and certify the retracted solution against
-the original system.
+the original system.  The 2x2 interior/interface slicing lives here:
+`factor_interior` slices A_II and keeps only its factor, and
+`interface_blocks` slices the coupling blocks A_IG, A_GI and A_GG.
 
 The continuous interface subspace is the image of injection, and under the
 1/m-weighted inner product injection is an isometry.  So a Krylov method on
@@ -54,7 +56,6 @@ from .derived import (
     retract,
     retract_interface,
 )
-from .dual import InterfaceBlocks, interface_blocks
 from .exceptions import (
     ConfigError,
     ConvergenceError,
@@ -88,13 +89,17 @@ class SolveConfig:
     compare_direct: bool = False
 
     def __post_init__(self):
-        if not (isinstance(self.tol, numbers.Real) and np.isfinite(self.tol) and self.tol > 0):
+        # bool is an Integral, hence a Real: True would pass as 1
+        if isinstance(self.tol, bool) or not (isinstance(self.tol, numbers.Real)
+                                              and np.isfinite(self.tol) and self.tol > 0):
             raise ConfigError(f"tol must be finite and positive, got {self.tol!r}")
-        if self.max_iters is not None and not (isinstance(self.max_iters, numbers.Integral)
-                                               and self.max_iters >= 1):
+        if self.max_iters is not None and (isinstance(self.max_iters, bool) or not (
+                isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1)):
             raise ConfigError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if self.krylov not in ("cg", "gmres"):
             raise ConfigError(f"krylov must be 'cg' or 'gmres', got {self.krylov!r}")
+        if not isinstance(self.compare_direct, bool):
+            raise ConfigError(f"compare_direct must be a bool, got {self.compare_direct!r}")
 
 
 @dataclass
@@ -113,6 +118,37 @@ class SolveReport:
 
     def to_dict(self) -> dict:
         return {key: getattr(self, key) for key in _REPORT_KEYS}
+
+
+@dataclass(frozen=True, eq=False)
+class InterfaceBlocks:
+    """The interior/interface coupling blocks A_IG, A_GI and A_GG of an original matrix.
+
+    Rows and columns follow the sorted interior nodes, then the sorted
+    interface nodes, d scalar entries per node.  A_II is sliced and factored
+    by `factor_interior`, and only its factor is kept.
+    """
+
+    interior_flat: np.ndarray   # original flat indices of the interior rows
+    gamma_flat: np.ndarray      # original flat indices of the interface rows
+    ig: sp.csr_matrix
+    gi: sp.csr_matrix
+    gg: sp.csr_matrix
+
+
+def interface_blocks(matrix: OriginalMatrix, dm: DecompositionMap) -> InterfaceBlocks:
+    """Slice A_IG, A_GI and A_GG once, in sorted interior / interface order."""
+    d = matrix.block_dim
+    i_flat = flat_block_indices(dm.interior_nodes, d)
+    g_flat = flat_block_indices(dm.interface_nodes, d)
+    csr = matrix.csr
+    return InterfaceBlocks(
+        interior_flat=i_flat,
+        gamma_flat=g_flat,
+        ig=csr[np.ix_(i_flat, g_flat)].tocsr(),
+        gi=csr[np.ix_(g_flat, i_flat)].tocsr(),
+        gg=csr[np.ix_(g_flat, g_flat)].tocsr(),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,11 +181,16 @@ _GMRES_RESTART = 30
 def _splu(csc: sp.csc_matrix):
     """Sparse LU of `csc` with a minimum-degree ordering of A^T + A.
 
-    SuperLU's symmetric mode keeps the default diag_pivot_thresh of 1.0: the
-    diagonal pivot is taken only when it is also the largest in its column,
-    so threshold partial pivoting is kept; a lower threshold would accept a
-    tiny diagonal pivot.  On strongly nonsymmetric input off-diagonal pivots
-    defeat the symmetric ordering and fill grows; see ROADMAP.md.
+    SuperLU's symmetric mode takes the diagonal pivot when it is at least
+    0.1 of the largest entry in its column (threshold partial pivoting, Duff,
+    Erisman & Reid).  At SuperLU's default of 1.0, off-diagonal pivots on
+    strongly nonsymmetric input defeat the symmetric ordering: for the A_II
+    of a convection-diffusion matrix with convection 5 (Laplacian plus
+    5 (I x D + D x I), D the +-1 central difference), L+U fell from 498k to
+    92k entries and the factor from 58 to 5 ms at 65^2 / 2x2 boxes, and L+U
+    from 511k to 235k at 129^2 / 8x8.  On Poisson the L+U and the solution
+    were unchanged at 65^2 / 4x4, 129^2 / 16x16 and 257^2 / 4x4.  A tiny
+    diagonal entry is still not taken as a pivot.
 
     Columns are updated in panels of 2, not SuperLU's default of about 20.
     Minimum-degree orderings of 2D subdomain blocks give small supernodes,
@@ -158,35 +199,32 @@ def _splu(csc: sp.csc_matrix):
     time.  On a large 3D block a wide panel pays, and panel size 2 costs
     a fifth to a quarter more there; ROADMAP.md has the numbers.
     """
-    return spla.splu(csc, permc_spec="MMD_AT_PLUS_A", panel_size=_PANEL_SIZE,
-                     options=dict(SymmetricMode=True))
+    return spla.splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                     panel_size=_PANEL_SIZE, options=dict(SymmetricMode=True))
 
 
-def factor_interior(matrix: OriginalMatrix, dm: DecompositionMap,
-                    block_ii: sp.spmatrix | None = None) -> InteriorFactorization:
-    """Factor the interior block A_II with a single sparse LU.
+def factor_interior(matrix: OriginalMatrix, dm: DecompositionMap) -> InteriorFactorization:
+    """Slice the interior block A_II and factor it with a single sparse LU.
 
     Assumes locality has been validated, which makes A_II exactly
     block-diagonal across subdomains, so the fill stays inside the blocks.
-    `block_ii` is A_II when the caller has already sliced it.  When A_II is
-    singular, the blocks are factored one at a time, the same way, to name
-    the subdomain.
+    When A_II is singular, the blocks are factored one at a time, the same
+    way, to name the subdomain.
     """
-    csc = (interface_blocks(matrix, dm).ii if block_ii is None else block_ii).tocsc()
+    d = matrix.block_dim
+    i_flat = flat_block_indices(dm.interior_nodes, d)
+    csc = matrix.csr[np.ix_(i_flat, i_flat)].tocsc()
     if csc.shape[0] == 0:
         return InteriorFactorization(lu=None)
     try:
         lu = _splu(csc)
     except RuntimeError as fused_error:
         for a, nodes in enumerate(dm.subdomain_nodes):
-            own = nodes[dm.multiplicity[nodes] == 1]
+            own = flat_block_indices(nodes[dm.multiplicity[nodes] == 1], d)
             if len(own) == 0:
                 continue
-            # flat positions of this subdomain's interior nodes in A_II
-            offsets = flat_block_indices(np.searchsorted(dm.interior_nodes, own),
-                                         matrix.block_dim)
             try:
-                _splu(csc[np.ix_(offsets, offsets)].tocsc())
+                _splu(matrix.csr[np.ix_(own, own)].tocsc())
             except RuntimeError as e:
                 raise SingularInteriorError(a, f"interior block of subdomain {a}: {e}") from e
         raise SingularInteriorError(None, f"interior block A_II: {fused_error}") from fused_error
@@ -199,27 +237,22 @@ class SolverState:
 
     problem: ProblemInstance
     space: DerivedSpace
-    blocks: InterfaceBlocks     # A_II, A_IG, A_GI, A_GG in sorted interior / interface order
+    blocks: InterfaceBlocks     # A_IG, A_GI, A_GG in sorted interior / interface order
     interior: InteriorFactorization | None = None
 
 
 def _build_state(problem: ProblemInstance) -> SolverState:
-    """Validate locality, build the derived space, and slice the 2x2 blocks."""
+    """Validate locality, build the derived space, and slice the coupling blocks."""
     matrix, dm = problem.matrix, problem.decomposition
     require_locality(matrix, dm)
     ds = build_derived_space(dm, block_dim=matrix.block_dim)
     return SolverState(problem=problem, space=ds, blocks=interface_blocks(matrix, dm))
 
 
-def _factor(state: SolverState) -> InteriorFactorization:
-    problem = state.problem
-    return factor_interior(problem.matrix, problem.decomposition, block_ii=state.blocks.ii)
-
-
 def setup_solver(problem: ProblemInstance) -> SolverState:
     """One-call setup: state plus the factored interior block."""
     state = _build_state(problem)
-    state.interior = _factor(state)
+    state.interior = factor_interior(problem.matrix, problem.decomposition)
     return state
 
 
@@ -708,7 +741,7 @@ def solve_dvs(problem: ProblemInstance, cfg: SolveConfig | None = None):
         report.config["max_iters"] = _max_iters(cfg, ds)
 
     with _phase("factor", report.timings):
-        state.interior = _factor(state)
+        state.interior = factor_interior(problem.matrix, problem.decomposition)
 
     interface_failure = None
     u_gamma = np.zeros(len(ds.gamma_positions) * ds.block_dim)

@@ -24,7 +24,6 @@ from edvs.derived import (
     is_dual,
     retract_interface,
 )
-from edvs.dual import interface_blocks
 from edvs.exceptions import ConfigError, ConvergenceError, LocalityError, SingularInteriorError
 from edvs.ingest import (
     DecompositionMap,
@@ -73,6 +72,20 @@ def dense_interface_operator(problem):
     return schur_complement(a, IndexSplit(m_set=m_set, n_set=n_set))
 
 
+def interior_block(matrix, dm):
+    """A_II in sorted interior order, as `factor_interior` slices it."""
+    i_flat = flat_block_indices(dm.interior_nodes, matrix.block_dim)
+    return matrix.csr[np.ix_(i_flat, i_flat)]
+
+
+def convection_problem(n, boxes, c):
+    """The matrix 2D Poisson + c (I x D + D x I), D the +-1 central difference, and boxes."""
+    base = make_problem_2d(n, n, boxes, boxes)
+    diff = sp.diags([-np.ones(n - 1), np.ones(n - 1)], [-1, 1])
+    csr = (base.matrix.csr + c * (sp.kron(sp.identity(n), diff) + sp.kron(diff, sp.identity(n))))
+    return OriginalMatrix(csr=csr.tocsr(), symmetric=c == 0), base.decomposition
+
+
 class TestAssembleDualRhs:
     def test_copies_to_descendants(self, state_1d5):
         f = np.zeros(5)
@@ -93,7 +106,7 @@ class TestFactorInterior:
                              ids=["1d5", "2d55"])
     def test_solve_inverts_interior_block(self, problem):
         # 1d5: interior nodes 0, 1 | 3, 4; 2d55: a 2x2 interior per box
-        a_ii = interface_blocks(problem.matrix, problem.decomposition).ii
+        a_ii = interior_block(problem.matrix, problem.decomposition)
         fact = factor_interior(problem.matrix, problem.decomposition)
         x = np.random.default_rng(7).standard_normal(a_ii.shape[0])
         assert np.allclose(fact.solve(a_ii @ x), x, atol=1e-12)
@@ -127,7 +140,7 @@ class TestFactorInterior:
         problem = make_problem_2d(65, 65, 4, 4)
         matrix = OriginalMatrix(csr=problem.matrix.csr, symmetric=symmetric)
         fact = factor_interior(matrix, problem.decomposition)
-        default = spla.splu(interface_blocks(matrix, problem.decomposition).ii.tocsc())
+        default = spla.splu(interior_block(matrix, problem.decomposition).tocsc())
         assert fact.lu.L.nnz + fact.lu.U.nnz < default.L.nnz + default.U.nnz
 
     @pytest.mark.parametrize("upper", [1.0, 2.0])
@@ -141,10 +154,23 @@ class TestFactorInterior:
         matrix = OriginalMatrix(csr=csr, symmetric=upper == 1.0)
         dm = DecompositionMap.from_memberships([(0,)] * 6 + [(0, 1)] + [(1,)] * 6)
         fact = factor_interior(matrix, dm)
-        a_ii = interface_blocks(matrix, dm).ii.toarray()
+        a_ii = interior_block(matrix, dm).toarray()
         rhs = np.random.default_rng(3).standard_normal(12)
         expected = np.linalg.solve(a_ii, rhs)
         assert np.linalg.norm(fact.solve(rhs) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_convection_keeps_the_fill_of_the_symmetric_ordering(self):
+        # at SuperLU's default diag_pivot_thresh of 1.0, c = 5 had 498k L+U
+        # entries against 92k for c = 0
+        fill = []
+        for c in (0.0, 5.0):
+            matrix, dm = convection_problem(65, 2, c)
+            fact = factor_interior(matrix, dm)
+            fill.append(fact.lu.L.nnz + fact.lu.U.nnz)
+        assert fill[1] <= 1.1 * fill[0]
+        a_ii = interior_block(matrix, dm)
+        rhs = np.random.default_rng(5).standard_normal(a_ii.shape[0])
+        assert np.linalg.norm(a_ii @ fact.solve(rhs) - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
     def test_no_interior_solves_to_the_shape_of_the_rhs(self):
         # every node in both subdomains: the builds pass (0, k) blocks
@@ -594,6 +620,18 @@ def singular_interface_problem():
     return ProblemInstance(matrix=matrix, rhs=np.array([1.0, 0.0, 0.0]), decomposition=dm)
 
 
+def voronoi_ones(n, k, seed):
+    problem = make_problem_voronoi(n, k, seed)
+    return ProblemInstance(matrix=problem.matrix, rhs=np.ones(n * n),
+                           decomposition=problem.decomposition)
+
+
+# box partitions, ids "boxes-n", then seeded Voronoi partitions of k cells
+LADDER = [pytest.param(make_problem_2d(n, n, boxes, boxes), id=f"{boxes}-{n}")
+          for boxes in (4, 8) for n in (33, 65)] + [
+    pytest.param(voronoi_ones(n, k, seed=1), id=f"voronoi{k}-{n}") for n, k in ((33, 16), (65, 64))]
+
+
 class TestSolveDvs:
     def test_1d_closed_form(self, problem_1d5):
         u_hat, report = solve_dvs(problem_1d5, SolveConfig())
@@ -673,11 +711,10 @@ class TestSolveDvs:
         assert "krylov='gmres'" in str(e)
         assert e.report is not None and not e.report.converged
 
-    @pytest.mark.parametrize("n", [33, 65])
-    @pytest.mark.parametrize("boxes", [4, 8])
-    def test_convergence_ladder(self, n, boxes):
+    @pytest.mark.parametrize("problem", LADDER)
+    def test_convergence_ladder(self, problem):
         # deflated, probed CG with rhs = 1: few iterations, and the direct solution
-        _, report = solve_dvs(make_problem_2d(n, n, boxes, boxes), SolveConfig(compare_direct=True))
+        _, report = solve_dvs(problem, SolveConfig(compare_direct=True))
         assert report.converged
         assert report.iterations <= 30
         assert report.relative_error_vs_direct <= 1e-8
@@ -696,15 +733,20 @@ class TestSolveDvs:
         with pytest.raises(ConfigError):
             solve_dvs(problem, SolveConfig(krylov="cg"))
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10, "x"])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10, "x", True])
     def test_tol_must_be_finite_and_positive(self, tol):
         with pytest.raises(ConfigError, match="tol"):
             SolveConfig(tol=tol)
 
-    @pytest.mark.parametrize("max_iters", [0, 2.5, "10"])
+    @pytest.mark.parametrize("max_iters", [0, 2.5, "10", True])
     def test_max_iters_must_be_a_positive_integer(self, max_iters):
         with pytest.raises(ConfigError, match="max_iters"):
             SolveConfig(max_iters=max_iters)
+
+    @pytest.mark.parametrize("compare_direct", [1, 0, "yes", None])
+    def test_compare_direct_must_be_a_bool(self, compare_direct):
+        with pytest.raises(ConfigError, match="compare_direct"):
+            SolveConfig(compare_direct=compare_direct)
 
     def test_block_dim_two(self):
         base = generate_poisson_1d(5)
