@@ -20,11 +20,9 @@ from .derived import (
 )
 from .dual import (
     DualOperator,
-    SubdomainSlice,
     apply_block,
     apply_dual,
     build_dual_operator,
-    split_by_subdomain,
 )
 from .exceptions import (
     ConfigError,

@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 
 import numpy as np
 
@@ -33,6 +32,21 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
+def _delta_rhs(k: int, n: int) -> np.ndarray:
+    """The unit vector at entry k of length n, for --rhs-delta K."""
+    if not 0 <= k < n:
+        raise ConfigError(f"--rhs-delta {k} out of range [0, {n})")
+    rhs = np.zeros(n)
+    rhs[k] = 1.0
+    return rhs
+
+
+def _multiplicity_histogram(dm: ingest.DecompositionMap) -> dict:
+    """{"m": number of nodes in m subdomains}, by ascending m, for the m that occur."""
+    counts = np.bincount(dm.multiplicity)
+    return {str(m): int(c) for m, c in enumerate(counts) if c}
+
+
 def cmd_generate(args) -> int:
     if args.kind == "poisson1d":
         matrix = ingest.generate_poisson_1d(args.n)
@@ -46,13 +60,7 @@ def cmd_generate(args) -> int:
         px, py = _parse_boxes(args.boxes)
         dm = ingest.generate_box_partition(args.nx, args.ny, px, py)
         n = args.nx * args.ny
-    if args.rhs_delta is not None:
-        if not 0 <= args.rhs_delta < n:
-            raise ConfigError(f"--rhs-delta {args.rhs_delta} out of range [0, {n})")
-        rhs = np.zeros(n)
-        rhs[args.rhs_delta] = 1.0
-    else:
-        rhs = np.ones(n)
+    rhs = np.ones(n) if args.rhs_delta is None else _delta_rhs(args.rhs_delta, n)
 
     prefix = args.out_prefix or args.kind
     paths = {
@@ -77,10 +85,7 @@ def _load_problem(args) -> ingest.ProblemInstance:
     dm = ingest.load_partition(args.partition, matrix.n_nodes)
     n = matrix.csr.shape[0]
     if args.rhs_delta is not None:
-        if not 0 <= args.rhs_delta < n:
-            raise ConfigError(f"--rhs-delta {args.rhs_delta} out of range [0, {n})")
-        rhs = np.zeros(n)
-        rhs[args.rhs_delta] = 1.0
+        rhs = _delta_rhs(args.rhs_delta, n)
     elif args.rhs is not None:
         rhs = ingest.load_vector(args.rhs)
         if rhs.shape != (n,):
@@ -120,14 +125,13 @@ def cmd_verify(args) -> int:
     n_derived = int(dm.multiplicity.sum())
     locality = ingest.validate_locality(matrix, dm)
     cross = ingest.interior_coupling_violations(matrix, dm)
-    histogram = Counter(int(m) for m in dm.multiplicity)
     payload = {
         "n_nodes": dm.n_nodes,
         "n_subdomains": dm.n_subdomains,
         "n_derived": n_derived,
         "n_interior": len(dm.interior_nodes),
         "n_interface": len(dm.interface_nodes),
-        "multiplicity_histogram": {str(k): v for k, v in sorted(histogram.items())},
+        "multiplicity_histogram": _multiplicity_histogram(dm),
         "locality": "PASS" if locality.ok else "FAIL",
         "locality_violations": [list(v) for v in locality.violations],
         "interior_block_diagonal": not cross,
@@ -156,12 +160,11 @@ def cmd_info(args) -> int:
     }
     if args.partition:
         dm = ingest.load_partition(args.partition, matrix.n_nodes)
-        histogram = Counter(int(m) for m in dm.multiplicity)
         payload["partition"] = {
             "n_subdomains": dm.n_subdomains,
             "n_interior": len(dm.interior_nodes),
             "n_interface": len(dm.interface_nodes),
-            "multiplicity_histogram": {str(k): v for k, v in sorted(histogram.items())},
+            "multiplicity_histogram": _multiplicity_histogram(dm),
         }
     if args.rhs:
         rhs = ingest.load_vector(args.rhs)

@@ -51,11 +51,14 @@ class DerivedSpace:
     # interface restriction (interface nodes only, in derived order)
     gamma_positions: np.ndarray      # derived indices with m(p) > 1
     interior_positions: np.ndarray   # derived indices with m(p) == 1
-    gamma_nodes: np.ndarray          # sorted interface node ids
-    interior_nodes: np.ndarray       # sorted interior node ids
     gamma_origin_flat: np.ndarray    # gamma-restricted flat -> interface-flat index
     interior_origin_flat: np.ndarray  # interior-restricted flat -> interior-flat index
     gamma_inv_mult_flat: np.ndarray  # 1/m per interface-flat entry
+
+    @property
+    def gamma_nodes(self) -> np.ndarray:
+        """The sorted interface node ids, read from `decomposition.interface_nodes`."""
+        return self.decomposition.interface_nodes
 
     @property
     def n_derived(self) -> int:
@@ -98,13 +101,11 @@ def build_derived_space(dm: DecompositionMap, block_dim: int = 1) -> DerivedSpac
     mult_of = dm.multiplicity[node_of]
     gamma_positions = np.nonzero(mult_of > 1)[0].astype(np.int64)
     interior_positions = np.nonzero(mult_of == 1)[0].astype(np.int64)
-    gamma_nodes = dm.interface_nodes.astype(np.int64)
-    interior_nodes = dm.interior_nodes.astype(np.int64)
-    gamma_rank = np.searchsorted(gamma_nodes, node_of[gamma_positions])
-    interior_rank = np.searchsorted(interior_nodes, node_of[interior_positions])
+    gamma_rank = np.searchsorted(dm.interface_nodes, node_of[gamma_positions])
+    interior_rank = np.searchsorted(dm.interior_nodes, node_of[interior_positions])
     gamma_origin_flat = flat_block_indices(gamma_rank, d)
     interior_origin_flat = flat_block_indices(interior_rank, d)
-    gamma_inv_mult_flat = np.repeat(inv_mult[gamma_nodes], d)
+    gamma_inv_mult_flat = np.repeat(inv_mult[dm.interface_nodes], d)
 
     return DerivedSpace(
         decomposition=dm,
@@ -117,8 +118,6 @@ def build_derived_space(dm: DecompositionMap, block_dim: int = 1) -> DerivedSpac
         original_inv_mult_flat=original_inv_mult_flat,
         gamma_positions=gamma_positions,
         interior_positions=interior_positions,
-        gamma_nodes=gamma_nodes,
-        interior_nodes=interior_nodes,
         gamma_origin_flat=gamma_origin_flat,
         interior_origin_flat=interior_origin_flat,
         gamma_inv_mult_flat=gamma_inv_mult_flat,
@@ -208,7 +207,7 @@ def continuity_defect(u: np.ndarray, ds: DerivedSpace) -> float:
 
 def inject_interface(v_hat_gamma: np.ndarray, ds: DerivedSpace) -> np.ndarray:
     """Copy interface-node values to their descendants; gamma-restricted output."""
-    expected = len(ds.gamma_nodes) * ds.block_dim
+    expected = len(ds.gamma_inv_mult_flat)
     if v_hat_gamma.shape != (expected,):
         raise ValueError(f"expected length {expected}, got {v_hat_gamma.shape}")
     return v_hat_gamma[ds.gamma_origin_flat]

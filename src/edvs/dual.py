@@ -5,10 +5,12 @@ retracting, applying the original matrix, and injecting back.  Splitting the
 matrix by subdomain (each entry assigned to exactly one shared subdomain)
 turns the middle step into one block-diagonal multiply in derived order
 followed by one sum over each descendant group (one `np.bincount`).  The
-derived order and the subdomain slices are read from the `DerivedSpace`.
-The split is the operator's one copy of the matrix: each block of the 2x2
-interior/interface form is the operator applied to a vector that is zero
-off the block's input positions, read at its output positions.
+derived order is read from the `DerivedSpace`.  The split, `DualOperator.local`,
+is the operator's one copy of the matrix.  Subdomain a's slice is its
+diagonal block: rows and columns d*start to d*stop, where (start, stop) is
+`space.subdomain_ranges[a]`.  Each block of the 2x2 interior/interface form
+is the operator applied to a vector that is zero off the block's input
+positions, read at its output positions.
 """
 from __future__ import annotations
 
@@ -19,23 +21,13 @@ import scipy.sparse as sp
 
 from .derived import (
     DerivedSpace,
-    build_derived_space,
     continuity_defect,
     flat_block_indices,
     inject,
     retract,
 )
 from .exceptions import ContinuityError, LocalityError
-from .ingest import DecompositionMap, OriginalMatrix
-
-
-@dataclass(frozen=True, eq=False)
-class SubdomainSlice:
-    """The matrix entries assigned to one subdomain, in local node indexing."""
-
-    subdomain: int
-    nodes: np.ndarray        # sorted member nodes of this subdomain
-    matrix: sp.csr_matrix    # (len(nodes)*d, len(nodes)*d)
+from .ingest import OriginalMatrix
 
 
 def _owner_split(matrix: OriginalMatrix, ds: DerivedSpace) -> sp.csr_matrix:
@@ -45,7 +37,7 @@ def _owner_split(matrix: OriginalMatrix, ds: DerivedSpace) -> sp.csr_matrix:
     at the derived rows and columns of that subdomain's copies of the pair.
     Derived order is by subdomain, then node, so the derived position of
     (p, a) is the rank of the key a*N + p among the sorted keys of the
-    space.  Requires locality (every pair shares a subdomain).
+    space.  Raises LocalityError naming the first pair that shares none.
     """
     d = matrix.block_dim
     dm = ds.decomposition
@@ -74,40 +66,14 @@ def _owner_split(matrix: OriginalMatrix, ds: DerivedSpace) -> sp.csr_matrix:
     return local
 
 
-def _cut_slices(local: sp.csr_matrix, ds: DerivedSpace) -> tuple[SubdomainSlice, ...]:
-    """The per-subdomain slices: the diagonal blocks of `local`, one per subdomain."""
-    d = ds.block_dim
-    return tuple(
-        SubdomainSlice(subdomain=a, nodes=ds.node_of[start:stop],
-                       matrix=local[start * d:stop * d, start * d:stop * d])
-        for a, (start, stop) in enumerate(ds.subdomain_ranges)
-    )
-
-
-def split_by_subdomain(matrix: OriginalMatrix, dm: DecompositionMap) -> list[SubdomainSlice]:
-    """Assign each nonzero entry to the lowest-index subdomain shared by its node pair.
-
-    The slices sum to the input matrix entrywise; any such split induces the
-    same dual operator, so the deterministic lowest-index rule is chosen for
-    reproducibility.  Requires locality (every pair shares a subdomain).
-    """
-    ds = build_derived_space(dm, block_dim=matrix.block_dim)
-    return list(_cut_slices(_owner_split(matrix, ds), ds))
-
-
 @dataclass(frozen=True, eq=False)
 class DualOperator:
-    """Apply the dual of an original matrix through per-subdomain local slices."""
+    """Apply the dual of an original matrix through its owner split in derived order."""
 
     space: DerivedSpace
-    # the slices stacked block-diagonally in derived order: their gathers
-    # concatenate to exactly `space.origin_flat`
+    # block-diagonal in derived order, one diagonal block per subdomain: its
+    # slice of the matrix, on its nodes in ascending order
     local: sp.csr_matrix
-
-    @property
-    def slices(self) -> tuple[SubdomainSlice, ...]:
-        """The per-subdomain slices, cut out of the block-diagonal `local`."""
-        return _cut_slices(self.local, self.space)
 
 
 def build_dual_operator(matrix: OriginalMatrix, ds: DerivedSpace) -> DualOperator:
@@ -128,7 +94,7 @@ def apply_dual(op: DualOperator, u: np.ndarray, project: bool = False) -> np.nda
     applies the operator to u's continuous part: the retraction averages each
     descendant group, so it sees only that part.  Each descendant group's
     rows of the local products are summed, which adds up the contributions
-    of all the slices, and the sum is injected back to the group.
+    of all the subdomains' blocks, and the sum is injected back to the group.
     """
     ds = op.space
     if u.shape != (ds.derived_flat_size,):
@@ -167,7 +133,7 @@ def apply_block(op: DualOperator, block: str, v: np.ndarray) -> np.ndarray:
 
 
 def slices_sum(op: DualOperator) -> sp.csr_matrix:
-    """Reassemble the split slices into a global matrix (exactness check helper)."""
+    """Reassemble the owner split into a global matrix (exactness check helper)."""
     ds = op.space
     n = ds.original_flat_size
     coo = op.local.tocoo()

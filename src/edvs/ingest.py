@@ -3,7 +3,9 @@
 A problem lives on N "original" nodes.  Each node belongs to one or more
 closed subdomains; nodes with a single membership are interior, nodes shared
 by several subdomains form the interface.  Everything downstream (derived
-space, dual operator, solver) consumes the `DecompositionMap` built here.
+space, dual operator, solver) consumes the `OriginalMatrix` and the
+`DecompositionMap` built here.  Whether a matrix is symmetric is read from
+its values; a file's symmetry qualifier only says how the file stores them.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import itertools
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,11 +33,9 @@ class DecompositionMap:
     on first use.
 
     Attributes:
-        memberships: per node, the sorted tuple of subdomains whose closure contains it.
-        multiplicity: per node, the number of such subdomains (length of the tuple).
+        multiplicity: per node, the number of its subdomains (its row's length).
         home: per node, the first of its subdomains.
         interior_nodes / interface_nodes: sorted node ids with multiplicity == 1 / > 1.
-        subdomain_nodes: per subdomain, the sorted array of member nodes.
     """
 
     incidence: sp.csr_matrix
@@ -47,12 +47,6 @@ class DecompositionMap:
     @property
     def n_subdomains(self) -> int:
         return self.incidence.shape[1]
-
-    @functools.cached_property
-    def memberships(self) -> tuple[tuple[int, ...], ...]:
-        subs = self.incidence.indices.tolist()
-        ptr = self.incidence.indptr.tolist()
-        return tuple(tuple(subs[a:b]) for a, b in zip(ptr[:-1], ptr[1:]))
 
     @functools.cached_property
     def multiplicity(self) -> np.ndarray:
@@ -70,11 +64,6 @@ class DecompositionMap:
     @functools.cached_property
     def interface_nodes(self) -> np.ndarray:
         return np.flatnonzero(self.multiplicity > 1)
-
-    @functools.cached_property
-    def subdomain_nodes(self) -> tuple[np.ndarray, ...]:
-        csc = self.incidence.tocsc()  # row indices come out sorted within each column
-        return tuple(np.split(csc.indices.astype(np.int64), csc.indptr[1:-1]))
 
     def lowest_shared(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Per pair k, the lowest subdomain shared by nodes p[k] and q[k], -1 if none.
@@ -151,11 +140,15 @@ class DecompositionMap:
 
 @dataclass(frozen=True, eq=False)
 class OriginalMatrix:
-    """Square sparse matrix over the original nodes, d scalar rows per node."""
+    """Square sparse matrix over the original nodes, d scalar rows per node.
+
+    `symmetric` is set at construction, from the values: whether the stored
+    CSR equals its transpose entry for entry (see `_equals_transpose`).
+    """
 
     csr: sp.csr_matrix
     block_dim: int = 1
-    symmetric: bool = False
+    symmetric: bool = field(init=False)
 
     def __post_init__(self):
         rows, cols = self.csr.shape
@@ -167,10 +160,7 @@ class OriginalMatrix:
             raise MatrixFormatError(
                 f"matrix dimension {rows} not divisible by block_dim {self.block_dim}"
             )
-        if self.symmetric:
-            diff = self.csr - self.csr.T
-            if diff.nnz and np.abs(diff.data).max() != 0.0:
-                raise MatrixFormatError("symmetric flag set but stored values are not symmetric")
+        object.__setattr__(self, "symmetric", _equals_transpose(self.csr))
 
     @property
     def n_nodes(self) -> int:
@@ -179,6 +169,19 @@ class OriginalMatrix:
     @property
     def nnz(self) -> int:
         return self.csr.nnz
+
+
+def _equals_transpose(csr: sp.csr_matrix) -> bool:
+    """Whether `csr` equals its transpose in pattern (stored zeros included) and bits.
+
+    Duplicates are summed on a copy; the transpose comes out with sorted rows.
+    """
+    if not csr.has_canonical_format:
+        csr = csr.copy()
+        csr.sum_duplicates()
+    t = csr.T.tocsr()
+    return (np.array_equal(csr.indptr, t.indptr) and np.array_equal(csr.indices, t.indices)
+            and csr.data.tobytes() == t.data.tobytes())
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,9 +218,10 @@ class ProblemInstance:
 def load_matrix(path, block_dim: int = 1) -> OriginalMatrix:
     """Parse a Matrix Market coordinate file into an OriginalMatrix.
 
-    Symmetric storage is expanded eagerly to full storage; the symmetric flag
-    is retained.  The entries are parsed in bulk; a file the bulk parse does
-    not accept whole goes through the line parser instead, which raises
+    The header's symmetry qualifier only says whether to expand symmetric
+    storage; `OriginalMatrix.symmetric` is read from the values.  The
+    entries are parsed in bulk; a file the bulk parse does not accept whole
+    goes through the line parser instead, which raises
     MatrixFormatError with the line number of the first bad line.  A NaN
     value is such an error.  An infinite value is not: duplicate entries
     that overflow sum to Inf, and write_matrix writes that Inf, which loading
@@ -227,11 +231,11 @@ def load_matrix(path, block_dim: int = 1) -> OriginalMatrix:
         n, nnz, symmetric, _ = _read_matrix_preamble(fh)
         entries = _bulk_matrix_entries(fh, n, nnz, symmetric)
     if entries is None:
-        n, symmetric, *entries = _parse_matrix_lines(path)
+        n, *entries = _parse_matrix_lines(path)
     rows, cols, vals = entries
     csr = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     csr.sort_indices()
-    return OriginalMatrix(csr=csr, block_dim=block_dim, symmetric=symmetric)
+    return OriginalMatrix(csr=csr, block_dim=block_dim)
 
 
 def _read_matrix_preamble(fh):
@@ -315,7 +319,7 @@ def _bulk_matrix_entries(fh, n, nnz, symmetric):
 
 
 def _parse_matrix_lines(path):
-    """Line-by-line parse into (n, symmetric, rows, cols, vals); errors name the line."""
+    """Line-by-line parse into (n, rows, cols, vals); errors name the line."""
     with open(path, "r") as fh:
         n, nnz, symmetric, lineno = _read_matrix_preamble(fh)
         rows, cols, vals = [], [], []
@@ -347,16 +351,16 @@ def _parse_matrix_lines(path):
     if count != nnz:
         raise MatrixFormatError(f"header promises {nnz} entries, file has {count}",
                                 line_number=lineno)
-    return (n, symmetric, np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
+    return (n, np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
             np.array(vals, dtype=np.float64))
 
 
 def write_matrix(matrix: OriginalMatrix, path) -> None:
-    """Write a Matrix Market coordinate file, keeping the symmetry qualifier.
+    """Write a Matrix Market coordinate file.
 
-    Symmetric matrices store the lower triangle only; loading expands it back
-    to the identical full pattern.  Values are written with repr() so that
-    load(write(A)) is bit-exact.
+    A symmetric matrix stores its lower triangle only, as `symmetric`;
+    loading expands it back to the identical full pattern.  Values are
+    written with repr() so that load(write(A)) is bit-exact.
     """
     coo = matrix.csr.tocoo()
     keep = coo.row >= coo.col if matrix.symmetric else np.ones(coo.nnz, dtype=bool)
@@ -556,7 +560,7 @@ def generate_poisson_1d(n: int) -> OriginalMatrix:
     off = np.full(n - 1, -1.0)
     csr = sp.diags([off, main, off], [-1, 0, 1], format="csr")
     csr.sort_indices()
-    return OriginalMatrix(csr=csr, block_dim=1, symmetric=True)
+    return OriginalMatrix(csr=csr, block_dim=1)
 
 
 def generate_poisson_2d(nx: int, ny: int) -> OriginalMatrix:
@@ -583,7 +587,7 @@ def generate_poisson_2d(nx: int, ny: int) -> OriginalMatrix:
     )
     csr = coo.tocsr()
     csr.sort_indices()
-    return OriginalMatrix(csr=csr, block_dim=1, symmetric=True)
+    return OriginalMatrix(csr=csr, block_dim=1)
 
 
 def _cut_positions(n: int, boxes: int) -> list[int]:

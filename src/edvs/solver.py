@@ -41,7 +41,7 @@ from __future__ import annotations
 import numbers
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,18 +63,6 @@ from .exceptions import (
     SingularInteriorError,
 )
 from .ingest import DecompositionMap, OriginalMatrix, ProblemInstance, require_locality
-
-_REPORT_KEYS = (
-    "iterations",
-    "converged",
-    "final_original_residual",
-    "duality_defect",
-    "continuity_defect",
-    "relative_error_vs_direct",
-    "residual_history",
-    "timings",
-    "config",
-)
 
 _PHASES = ("setup", "factor", "interface", "back_substitute", "verify")
 
@@ -104,7 +92,7 @@ class SolveConfig:
 
 @dataclass
 class SolveReport:
-    """Everything observable about one solve; to_dict() has a fixed key set."""
+    """Everything observable about one solve; to_dict() has one key per field, in order."""
 
     iterations: int = 0
     converged: bool = False
@@ -117,7 +105,7 @@ class SolveReport:
     config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {key: getattr(self, key) for key in _REPORT_KEYS}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,21 +196,21 @@ def factor_interior(matrix: OriginalMatrix, dm: DecompositionMap) -> InteriorFac
 
     Assumes locality has been validated, which makes A_II exactly
     block-diagonal across subdomains, so the fill stays inside the blocks.
-    When A_II is singular, the blocks are factored one at a time, the same
-    way, to name the subdomain.
+    When A_II is singular, the blocks (interior nodes grouped by home) are
+    factored one at a time, the same way, to name the subdomain.
     """
     d = matrix.block_dim
-    i_flat = flat_block_indices(dm.interior_nodes, d)
+    interior = dm.interior_nodes
+    i_flat = flat_block_indices(interior, d)
     csc = matrix.csr[np.ix_(i_flat, i_flat)].tocsc()
     if csc.shape[0] == 0:
         return InteriorFactorization(lu=None)
     try:
         lu = _splu(csc)
     except RuntimeError as fused_error:
-        for a, nodes in enumerate(dm.subdomain_nodes):
-            own = flat_block_indices(nodes[dm.multiplicity[nodes] == 1], d)
-            if len(own) == 0:
-                continue
+        home = dm.home[interior]
+        for a in np.unique(home).tolist():
+            own = flat_block_indices(interior[home == a], d)
             try:
                 _splu(matrix.csr[np.ix_(own, own)].tocsc())
             except RuntimeError as e:
@@ -371,7 +359,7 @@ def build_coarse_space(state: SolverState) -> CoarseSpace:
     dm = ds.decomposition
     d = ds.block_dim
     # each node's sorted subdomains, padded with -1: equal rows are one class
-    member = dm.incidence[ds.gamma_nodes]
+    member = dm.incidence[dm.interface_nodes]
     mult = np.diff(member.indptr)
     node = np.repeat(np.arange(len(mult)), mult)
     sets = np.full((len(mult), mult.max()), -1)
@@ -393,7 +381,7 @@ def build_coarse_space(state: SolverState) -> CoarseSpace:
     # A_II^-1 A_IG times each colour's columns of Z summed, where A_GI reads
     # it, and the home subdomain of each entry read
     coupled, x = _interior_solves(state, b.ig @ _indicator(colours[of_node], d, n_colours))
-    home = dm.home[ds.interior_nodes[coupled // d]]
+    home = dm.home[dm.interior_nodes[coupled // d]]
     # near[s, c]: the class of colour c that touches subdomain s, -1 if none
     near = np.full((dm.n_subdomains, n_colours), -1)
     touch = touching.tocoo()
@@ -426,7 +414,7 @@ def probe_pattern(state: SolverState) -> sp.csr_matrix:
     """The node-level pattern of A_GG^2, with its diagonal and all entries 1."""
     gg = state.blocks.gg.tocoo()
     d = state.space.block_dim
-    n = len(state.space.gamma_nodes)
+    n = len(state.space.decomposition.interface_nodes)
     one_step = sp.csr_matrix((np.ones(gg.nnz), (gg.row // d, gg.col // d)), shape=(n, n))
     one_step = one_step + sp.identity(n, format="csr")
     reach = one_step @ one_step
@@ -621,7 +609,7 @@ def _gmres(apply_op, g, tol, max_iters):
 
 def _max_iters(cfg: SolveConfig, ds: DerivedSpace) -> int:
     """`cfg.max_iters`, or by default 10x the interface dimension, at least 10."""
-    default = max(10 * len(ds.gamma_nodes) * ds.block_dim, 10)
+    default = max(10 * len(ds.decomposition.interface_nodes) * ds.block_dim, 10)
     return default if cfg.max_iters is None else cfg.max_iters
 
 
@@ -668,7 +656,7 @@ def back_substitute(state: SolverState, u_gamma: np.ndarray) -> np.ndarray:
     ds = state.space
     b = state.blocks
     rhs = state.problem.rhs[b.interior_flat].astype(np.float64)
-    if len(ds.gamma_nodes):
+    if len(b.gamma_flat):
         rhs = rhs - b.ig @ retract_interface(u_gamma, ds)
     return state.interior.solve(rhs)
 
@@ -746,7 +734,7 @@ def solve_dvs(problem: ProblemInstance, cfg: SolveConfig | None = None):
     interface_failure = None
     u_gamma = np.zeros(len(ds.gamma_positions) * ds.block_dim)
     with _phase("interface", report.timings):
-        if len(ds.gamma_nodes) > 0:
+        if len(state.blocks.gamma_flat):
             g_gamma = interface_rhs(state)
             try:
                 u_gamma, history, iters = solve_interface(state, g_gamma, cfg)

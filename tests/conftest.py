@@ -47,7 +47,7 @@ def make_problem_3d(n, boxes):
     eye = sp.identity(n)
     csr = (sp.kron(sp.kron(line, eye), eye) + sp.kron(sp.kron(eye, line), eye)
            + sp.kron(sp.kron(eye, eye), line)).tocsr()
-    matrix = ingest.OriginalMatrix(csr=csr, block_dim=1, symmetric=True)
+    matrix = ingest.OriginalMatrix(csr=csr, block_dim=1)
     cuts = np.linspace(0, n - 1, boxes + 1).round().astype(np.int64)
     spans = [np.arange(lo, hi + 1) for lo, hi in zip(cuts[:-1], cuts[1:])]
     nodes, subdomains = [], []
@@ -111,15 +111,21 @@ def local_problems(draw):
                 dense[q * d:(q + 1) * d, p * d:(p + 1) * d] = block.T
     dense = (dense + dense.T) / 2
     dense += np.diag(np.abs(dense).sum(axis=1) + 1.0)
-    matrix = ingest.OriginalMatrix(csr=sp.csr_matrix(dense), block_dim=d, symmetric=True)
+    matrix = ingest.OriginalMatrix(csr=sp.csr_matrix(dense), block_dim=d)
     rhs = rng.standard_normal(n * d)
     return ingest.ProblemInstance(matrix=matrix, rhs=rhs, decomposition=dm)
+
+
+def incidence_rows(dm):
+    """Per node, the tuple of its subdomains: the rows of `dm.incidence`."""
+    inc = dm.incidence
+    return tuple(tuple(inc.indices[a:b].tolist()) for a, b in zip(inc.indptr[:-1], inc.indptr[1:]))
 
 
 def with_empty_subdomain(dm):
     """The same memberships with an empty subdomain 1 inserted (ids >= 1 shift up by one)."""
     return ingest.DecompositionMap.from_memberships(
-        [tuple(a + (a >= 1) for a in m) for m in dm.memberships],
+        [tuple(a + (a >= 1) for a in m) for m in incidence_rows(dm)],
         n_subdomains=dm.n_subdomains + 1,
     )
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io
 
 from conftest import run_cli
 from edvs import ingest
@@ -37,7 +38,7 @@ class TestGenerate:
         for ext in (".mtx", ".part", ".rhs"):
             assert (generated_1d / f"p1{ext}").exists()
         dm = ingest.load_partition(generated_1d / "p1.part", 5)
-        assert dm.memberships[2] == (0, 1)  # shared node
+        assert dm.incidence[2].indices.tolist() == [0, 1]  # shared node
         rhs = ingest.load_vector(generated_1d / "p1.rhs")
         assert rhs.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
 
@@ -49,7 +50,7 @@ class TestGenerate:
         )
         assert result.returncode == 0, result.stderr
         dm = ingest.load_partition(tmp_path / "g2.part", 25)
-        assert len(dm.memberships[12]) == 4
+        assert dm.multiplicity[12] == 4
 
     def test_single_box_all_interior(self, tmp_path):
         result = run_cli(
@@ -106,6 +107,24 @@ class TestSolve:
         assert report["config"] == golden["config"]
         assert report["iterations"] == golden["iterations"]
         assert report["converged"] == golden["converged"]
+
+    def test_general_storage_of_symmetric_matrix_solves_with_cg(self, tmp_path):
+        # symmetry is read from the values, so the storage qualifier changes nothing
+        result = run_cli(["generate", "poisson2d", "--nx", "9", "--ny", "9", "--boxes", "3x3",
+                          "--out-prefix", "g"], cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        scipy.io.mmwrite(tmp_path / "general.mtx", ingest.load_matrix(tmp_path / "g.mtx").csr,
+                         symmetry="general")
+        assert (tmp_path / "general.mtx").read_text().startswith(
+            "%%MatrixMarket matrix coordinate real general\n")
+        for name in ("g", "general"):
+            result = run_cli(["solve", "--matrix", f"{name}.mtx", "--partition", "g.part",
+                              "--rhs", "g.rhs", "--out", f"{name}.sol"], cwd=tmp_path)
+            assert result.returncode == 0, result.stderr
+            assert json.loads(result.stdout)["config"]["krylov"] == "cg"
+        assert (tmp_path / "general.sol").read_bytes() == (tmp_path / "g.sol").read_bytes()
+        info = run_cli(["info", "--matrix", "general.mtx"], cwd=tmp_path)
+        assert json.loads(info.stdout)["matrix"]["symmetric"] is True
 
     def test_missing_partition_exit_1(self, generated_1d):
         result = run_cli(

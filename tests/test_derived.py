@@ -19,6 +19,7 @@ from edvs.derived import (
     retract_interface,
     retraction_matrix,
 )
+from conftest import incidence_rows
 from edvs.ingest import DecompositionMap, generate_box_partition
 
 DM_1D5 = DecompositionMap.from_memberships([(0,), (0,), (0, 1), (1,), (1,)])
@@ -43,8 +44,8 @@ class TestBuild:
         # both copies of the shared node 2 are interface positions
         assert ds_1d5.interior_positions.tolist() == [0, 1, 4, 5]
         assert ds_1d5.gamma_positions.tolist() == [2, 3]
-        assert ds_1d5.interior_nodes.tolist() == [0, 1, 3, 4]
-        assert ds_1d5.gamma_nodes.tolist() == [2]
+        assert ds_1d5.node_of[ds_1d5.interior_positions].tolist() == [0, 1, 3, 4]
+        assert ds_1d5.node_of[ds_1d5.gamma_positions].tolist() == [2, 2]
 
 
 class TestInnerProducts:
@@ -268,7 +269,8 @@ def test_classification_decomposes_derived_set(ds):
 def test_derived_order_and_group_sums(ds, seed):
     dm = ds.decomposition
     # derived order is by subdomain, then node: the column-major order of `incidence`
-    pairs = sorted((a, p) for p, ms in enumerate(dm.memberships) for a in ms)
+    rows = incidence_rows(dm)
+    pairs = sorted((a, p) for p, ms in enumerate(rows) for a in ms)
     assert list(zip(ds.subdomain_of.tolist(), ds.node_of.tolist())) == pairs
     sizes = [stop - start for start, stop in ds.subdomain_ranges]
     assert [start for start, _ in ds.subdomain_ranges] == np.cumsum([0] + sizes[:-1]).tolist()
@@ -276,7 +278,7 @@ def test_derived_order_and_group_sums(ds, seed):
     for p in range(ds.n_original):
         group = ds.descendants(p)
         assert np.all(ds.node_of[group] == p)
-        assert ds.subdomain_of[group].tolist() == list(dm.memberships[p])
+        assert ds.subdomain_of[group].tolist() == list(rows[p])
     # each group sum equals an unbuffered sequential scatter bit for bit
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(ds.derived_flat_size)
@@ -284,6 +286,6 @@ def test_derived_order_and_group_sums(ds, seed):
     np.add.at(want, ds.origin_flat, u)
     assert np.array_equal(retract(u, ds), want * ds.original_inv_mult_flat)
     v = u[flat_block_indices(ds.gamma_positions, ds.block_dim)]
-    want = np.zeros(len(ds.gamma_nodes) * ds.block_dim)
+    want = np.zeros(len(dm.interface_nodes) * ds.block_dim)
     np.add.at(want, ds.gamma_origin_flat, v)
     assert np.array_equal(retract_interface(v, ds), want * ds.gamma_inv_mult_flat)

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 
-from conftest import local_problems, with_empty_subdomain
+from conftest import incidence_rows, local_problems, with_empty_subdomain
 from edvs.derived import (
     build_derived_space,
     inject,
@@ -16,7 +16,6 @@ from edvs.dual import (
     apply_dual,
     build_dual_operator,
     slices_sum,
-    split_by_subdomain,
 )
 from edvs.exceptions import ContinuityError, LocalityError
 from edvs.ingest import (
@@ -51,16 +50,23 @@ def dense_dual(matrix, ds):
     return (injection_matrix(ds) @ matrix.csr @ retraction_matrix(ds)).toarray()
 
 
+def diagonal_blocks(op):
+    """Per subdomain, its nodes and its slice: the diagonal block of `op.local`."""
+    ds = op.space
+    d = ds.block_dim
+    return [(ds.node_of[start:stop], op.local[start * d:stop * d, start * d:stop * d])
+            for start, stop in ds.subdomain_ranges]
+
+
 class TestSplit:
-    def test_tie_goes_to_lowest_subdomain(self):
-        slices = split_by_subdomain(generate_poisson_1d(5), DM_1D5)
-        s0, s1 = slices
-        assert s0.nodes.tolist() == [0, 1, 2]
-        assert s1.nodes.tolist() == [2, 3, 4]
+    def test_tie_goes_to_lowest_subdomain(self, op_1d5):
+        (nodes0, s0), (nodes1, s1) = diagonal_blocks(op_1d5)
+        assert nodes0.tolist() == [0, 1, 2]
+        assert nodes1.tolist() == [2, 3, 4]
         # node 2's diagonal lives in slice 0; slice 1 keeps only its couplings to 3
-        assert s0.matrix.toarray()[2, 2] == 2.0
-        assert s1.matrix.toarray()[0, 0] == 0.0
-        assert s1.matrix.toarray()[0, 1] == -1.0
+        assert s0.toarray()[2, 2] == 2.0
+        assert s1.toarray()[0, 0] == 0.0
+        assert s1.toarray()[0, 1] == -1.0
 
     def test_slices_sum_to_original(self, problem_2d):
         matrix, _, _, op = problem_2d
@@ -68,27 +74,28 @@ class TestSplit:
 
     def test_diagonal_matrix(self):
         dm = DecompositionMap.from_memberships([(0,), (0,), (1,), (1,)])
-        m = OriginalMatrix(csr=sp.diags([1.0, 2.0, 3.0, 4.0]).tocsr(), symmetric=True)
-        slices = split_by_subdomain(m, dm)
-        assert np.allclose(slices[0].matrix.toarray(), np.diag([1.0, 2.0]))
-        assert np.allclose(slices[1].matrix.toarray(), np.diag([3.0, 4.0]))
+        m = OriginalMatrix(csr=sp.diags([1.0, 2.0, 3.0, 4.0]).tocsr())
+        (_, s0), (_, s1) = diagonal_blocks(build_dual_operator(m, build_derived_space(dm)))
+        assert np.allclose(s0.toarray(), np.diag([1.0, 2.0]))
+        assert np.allclose(s1.toarray(), np.diag([3.0, 4.0]))
 
     def test_locality_violation_raises(self):
         dm = DecompositionMap.from_memberships([(0,), (0,), (1,), (1,), (1,)])
-        with pytest.raises(LocalityError):
-            split_by_subdomain(generate_poisson_1d(5), dm)
+        with pytest.raises(LocalityError, match=r"entry \(1, 2\)"):
+            build_dual_operator(generate_poisson_1d(5), build_derived_space(dm))
 
 
 def reference_local(matrix, dm):
     """Brute force: per-subdomain slices filled entry by entry, stacked block-diagonally."""
     d = matrix.block_dim
-    members = [set(m) for m in dm.memberships]
-    blocks = [np.zeros((len(g) * d, len(g) * d)) for g in dm.subdomain_nodes]
+    members = [set(m) for m in incidence_rows(dm)]
+    groups = [[p for p, m in enumerate(members) if a in m] for a in range(dm.n_subdomains)]
+    blocks = [np.zeros((len(g) * d, len(g) * d)) for g in groups]
     coo = matrix.csr.tocoo()
     for r, c, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
         p, q = r // d, c // d
         a = min(members[p] & members[q])
-        rank = {int(node): k for k, node in enumerate(dm.subdomain_nodes[a])}
+        rank = {node: k for k, node in enumerate(groups[a])}
         blocks[a][rank[p] * d + r % d, rank[q] * d + c % d] += v
     return sp.block_diag([sp.csr_matrix(b) for b in blocks], format="csr")
 
@@ -106,12 +113,10 @@ class TestOwnerSplitPlacement:
             total = slices_sum(op)
             for part in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(total, part), getattr(matrix.csr, part))
-            slices = split_by_subdomain(matrix, dm)
-            assert len(slices) == len(op.slices) == dm.n_subdomains
-            for s, ref in zip(slices, op.slices):
-                assert s.subdomain == ref.subdomain
-                assert np.array_equal(s.nodes, ref.nodes)
-                assert (s.matrix != ref.matrix).nnz == 0
+            # the diagonal blocks at `subdomain_ranges` hold every entry of `local`
+            blocks = [block for _, block in diagonal_blocks(op)]
+            assert len(blocks) == dm.n_subdomains
+            assert sum(block.nnz for block in blocks) == op.local.nnz
 
 
 class TestApplyDual:
@@ -124,7 +129,7 @@ class TestApplyDual:
         assert np.allclose(out, dense_dual(generate_poisson_1d(5), op_1d5.space) @ u, atol=1e-14)
 
     def test_identity_matrix_acts_as_identity(self, rng):
-        m = OriginalMatrix(csr=sp.eye(5, format="csr"), symmetric=True)
+        m = OriginalMatrix(csr=sp.eye(5, format="csr"))
         op = build_dual_operator(m, build_derived_space(DM_1D5))
         u = inject(rng.standard_normal(5), op.space)
         assert np.allclose(apply_dual(op, u), u, atol=1e-15)
@@ -217,9 +222,10 @@ class TestInteriorBlockDiagonality:
         # within the split, interior rows of one subdomain never touch another's
         matrix, dm, ds, op = problem_2d
         interior = set(dm.interior_nodes.tolist())
-        for s in op.slices:
-            coo = s.matrix.tocoo()
+        rows = incidence_rows(dm)
+        for nodes, block in diagonal_blocks(op):
+            coo = block.tocoo()
             for r, c in zip(coo.row, coo.col):
-                p, q = int(s.nodes[r]), int(s.nodes[c])
+                p, q = int(nodes[r]), int(nodes[c])
                 if p in interior and q in interior and p != q:
-                    assert dm.memberships[p] == dm.memberships[q]
+                    assert rows[p] == rows[q]

@@ -11,9 +11,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import incidence_rows
 from edvs import ingest
-from edvs.derived import flat_block_indices
-from edvs.dual import split_by_subdomain
+from edvs.derived import build_derived_space, flat_block_indices
+from edvs.dual import build_dual_operator
 from edvs.exceptions import LocalityError, PartitionError
 
 
@@ -98,20 +99,23 @@ def test_interior_coupling_matches_reference(case):
 def test_split_owners_match_reference(case):
     matrix, memberships, n_subdomains = case
     dm = ingest.DecompositionMap.from_memberships(memberships, n_subdomains=n_subdomains)
+    d = matrix.block_dim
+    ds = build_derived_space(dm, block_dim=d)
     owners, offender = reference_owners(matrix, memberships)
     if offender is not None:
         with pytest.raises(LocalityError, match=rf"entry \({offender[0]}, {offender[1]}\)"):
-            split_by_subdomain(matrix, dm)
+            build_dual_operator(matrix, ds)
         return
-    d = matrix.block_dim
+    local = build_dual_operator(matrix, ds).local
     got = {}
     values = {}
-    for s in split_by_subdomain(matrix, dm):
-        gather = flat_block_indices(s.nodes, d)
-        coo = s.matrix.tocoo()
+    # subdomain a's slice is the diagonal block of `local` at its range
+    for a, (start, stop) in enumerate(ds.subdomain_ranges):
+        gather = flat_block_indices(ds.node_of[start:stop], d)
+        coo = local[start * d:stop * d, start * d:stop * d].tocoo()
         for r, c, v in zip(gather[coo.row].tolist(), gather[coo.col].tolist(), coo.data.tolist()):
             assert (r, c) not in got
-            got[(r, c)] = s.subdomain
+            got[(r, c)] = a
             values[(r, c)] = v
     assert got == owners
     csr = matrix.csr
@@ -135,15 +139,13 @@ def test_from_pairs_equals_from_memberships(memberships, extra, seed):
     pairs = [pairs[k] for k in rng.permutation(len(pairs))]
     nodes, subs = np.array(pairs).T
     dm = ingest.DecompositionMap.from_pairs(nodes, subs, len(memberships), n_subdomains)
-    assert dm.memberships == expected.memberships
-    assert dm.memberships == tuple(tuple(sorted(ms)) for ms in memberships)
+    assert dm.incidence.shape == expected.incidence.shape == (len(memberships), n_subdomains)
+    assert np.array_equal(dm.incidence.indptr, expected.incidence.indptr)
+    assert np.array_equal(dm.incidence.indices, expected.incidence.indices)
+    assert incidence_rows(dm) == tuple(tuple(sorted(ms)) for ms in memberships)
     assert np.array_equal(dm.multiplicity, expected.multiplicity)
     assert np.array_equal(dm.interior_nodes, expected.interior_nodes)
     assert np.array_equal(dm.interface_nodes, expected.interface_nodes)
-    assert len(dm.subdomain_nodes) == n_subdomains
-    for got, want, a in zip(dm.subdomain_nodes, expected.subdomain_nodes, range(n_subdomains)):
-        assert np.array_equal(got, want)
-        assert got.tolist() == [p for p, ms in enumerate(memberships) if a in ms]
 
 
 @pytest.mark.parametrize("memberships,n_subdomains,message", [
@@ -189,4 +191,4 @@ def test_box_partition_matches_interval_reference(nx, ny, px, py):
     )
     dm = ingest.generate_box_partition(nx, ny, px, py)
     assert dm.n_subdomains == px * py
-    assert dm.memberships == expected
+    assert incidence_rows(dm) == expected

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import incidence_rows
 from edvs import ingest
 from edvs.exceptions import MatrixFormatError, PartitionError
 
@@ -45,7 +46,7 @@ class TestLoadMatrix:
         m = ingest.load_matrix(path)
         assert m.csr.shape == (5, 5)
         assert m.nnz == 13
-        assert not m.symmetric
+        assert m.symmetric  # read from the values: `general` only names the storage
         assert np.allclose(m.csr.toarray()[2], [0, -1, 2, -1, 0])
 
     def test_symmetric_expansion(self, tmp_path):
@@ -114,13 +115,52 @@ class TestLoadMatrix:
         vals = [v for _, _, v in entries]
         csr = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
         csr.sort_indices()
-        m = ingest.OriginalMatrix(csr=csr, symmetric=False)
+        m = ingest.OriginalMatrix(csr=csr)
         path = tmp_path_factory.mktemp("mm") / "rt.mtx"
         ingest.write_matrix(m, path)
         back = ingest.load_matrix(path)
         assert np.array_equal(back.csr.indptr, m.csr.indptr)
         assert np.array_equal(back.csr.indices, m.csr.indices)
         assert np.array_equal(back.csr.data, m.csr.data)
+        assert back.symmetric == m.symmetric
+
+    @pytest.mark.parametrize("partner", [False, True])
+    def test_stored_zero_decides_symmetry_and_round_trips(self, tmp_path, partner):
+        # a stored zero at (0, 1); with no partner at (1, 0) the values agree
+        # with the transpose but the pattern does not
+        rows, cols = [0, 0, 1] + [1] * partner, [0, 1, 1] + [0] * partner
+        vals = [2.0, 0.0, 2.0] + [0.0] * partner
+        csr = sp.coo_matrix((vals, (rows, cols)), shape=(2, 2)).tocsr()
+        csr.sort_indices()
+        m = ingest.OriginalMatrix(csr=csr)
+        assert m.symmetric == partner
+        path = tmp_path / "z.mtx"
+        ingest.write_matrix(m, path)
+        assert path.read_text().startswith(
+            f"%%MatrixMarket matrix coordinate real {'symmetric' if partner else 'general'}\n")
+        back = ingest.load_matrix(path)
+        assert back.nnz == 3 + partner
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(back.csr, name), getattr(csr, name)), name
+        assert back.symmetric == partner
+
+    def test_symmetry_read_from_unsorted_duplicate_entries(self):
+        # row 0 lists column 1 before column 0 and stores (0, 1) twice, as
+        # 1.0 and 2.0; the duplicates are summed on a copy
+        indptr, indices = np.array([0, 3, 5]), np.array([1, 0, 1, 0, 1])
+        data = np.array([1.0, 4.0, 2.0, 3.0, 4.0])
+        csr = sp.csr_matrix((data, indices, indptr), shape=(2, 2))
+        assert ingest.OriginalMatrix(csr=csr).symmetric
+        assert csr.indices.tolist() == indices.tolist() and csr.nnz == 5
+        data[3] = 4.0  # (1, 0) no longer matches the sum at (0, 1)
+        assert not ingest.OriginalMatrix(csr=sp.csr_matrix((data, indices, indptr),
+                                                           shape=(2, 2))).symmetric
+
+    def test_signed_zero_breaks_symmetry(self):
+        # 0.0 at (0, 1) and -0.0 at (1, 0): symmetric storage would write one of them for both
+        csr = sp.csr_matrix((np.array([1.0, 0.0, -0.0, 1.0]), np.array([0, 1, 0, 1]),
+                             np.array([0, 2, 4])), shape=(2, 2))
+        assert not ingest.OriginalMatrix(csr=csr).symmetric
 
 
 class TestPartition:
@@ -131,7 +171,7 @@ class TestPartition:
         assert np.array_equal(dm.multiplicity, [1, 1, 2, 1, 1])
         assert set(dm.interior_nodes) == {0, 1, 3, 4}
         assert set(dm.interface_nodes) == {2}
-        assert dm.memberships[2] == (0, 1)
+        assert incidence_rows(dm)[2] == (0, 1)
 
     def test_missing_node_coverage_error(self, tmp_path):
         path = tmp_path / "p.part"
@@ -150,7 +190,7 @@ class TestPartition:
         path = tmp_path / "p.part"
         ingest.write_partition(dm, path)
         back = ingest.load_partition(path, 25)
-        assert back.memberships == dm.memberships
+        assert incidence_rows(back) == incidence_rows(dm)
 
     def test_center_node_multiplicity_four(self):
         dm = ingest.generate_box_partition(5, 5, 2, 2)
@@ -201,7 +241,7 @@ class TestLocality:
         assert (1, 2) in report.violations
 
     def test_diagonal_always_passes(self):
-        m = ingest.OriginalMatrix(csr=sp.eye(5, format="csr"), symmetric=True)
+        m = ingest.OriginalMatrix(csr=sp.eye(5, format="csr"))
         dm = ingest.DecompositionMap.from_memberships([(0,), (0,), (1,), (1,), (1,)])
         assert ingest.validate_locality(m, dm).ok
 
@@ -271,7 +311,7 @@ class TestGenerators:
 
     def test_box_partition_1d(self):
         dm = ingest.generate_box_partition(5, 1, 2, 1)
-        assert dm.memberships == ((0,), (0,), (0, 1), (1,), (1,))
+        assert incidence_rows(dm) == ((0,), (0,), (0, 1), (1,), (1,))
 
     def test_box_partition_too_many_boxes(self):
         with pytest.raises(ValueError, match="boxes"):
@@ -331,14 +371,11 @@ class TestProblemInstance:
 )
 def test_decomposition_invariants(memberships):
     dm = ingest.DecompositionMap.from_memberships(memberships)
-    assert np.array_equal(dm.multiplicity, [len(ms) for ms in dm.memberships])
+    assert np.array_equal(dm.multiplicity, [len(ms) for ms in incidence_rows(dm)])
     interior, interface = _interior_interface(dm)
     assert all(dm.multiplicity[p] == 1 for p in interior)
     assert all(dm.multiplicity[p] > 1 for p in interface)
-    covered = set()
-    for nodes in dm.subdomain_nodes:
-        covered.update(int(p) for p in nodes)
-    assert covered == set(range(dm.n_nodes))
+    assert set(dm.incidence.tocoo().row.tolist()) == set(range(dm.n_nodes))
 
 
 def _load_both(monkeypatch, load, bulk_name, line_name, *args):
@@ -400,7 +437,8 @@ class TestBulkParse:
     def test_matrix_parity_general_roundtrip(self, tmp_path, monkeypatch):
         m = ingest.generate_poisson_2d(6, 5)
         m.csr.data[:] = np.random.default_rng(1).standard_normal(m.nnz)
-        m = ingest.OriginalMatrix(csr=m.csr, symmetric=False)
+        m = ingest.OriginalMatrix(csr=m.csr)
+        assert not m.symmetric
         path = tmp_path / "a.mtx"
         ingest.write_matrix(m, path)
         bulk, lines = _load_both(monkeypatch, ingest.load_matrix, "_bulk_matrix_entries",
@@ -414,7 +452,7 @@ class TestBulkParse:
                         "   \n2 1\n3 1\n4 1\n# end\n")
         bulk, lines = _load_both(monkeypatch, ingest.load_partition, "_bulk_table",
                                  "_parse_partition_lines", path, 5)
-        assert bulk.memberships == lines.memberships == ((0,), (0,), (0, 1), (1,), (1,))
+        assert incidence_rows(bulk) == incidence_rows(lines) == ((0,), (0,), (0, 1), (1,), (1,))
         assert np.array_equal(bulk.incidence.indices, lines.incidence.indices)
         assert np.array_equal(bulk.incidence.indptr, lines.incidence.indptr)
 
@@ -508,4 +546,4 @@ class TestBulkParse:
         # empty subdomains beyond the node count are not written, so they round-trip
         wide = ingest.DecompositionMap.from_memberships([(0,), (1,)], n_subdomains=9)
         ingest.write_partition(wide, path)
-        assert ingest.load_partition(path, 2).memberships == wide.memberships
+        assert incidence_rows(ingest.load_partition(path, 2)) == incidence_rows(wide)

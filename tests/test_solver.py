@@ -2,12 +2,14 @@ import json
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    incidence_rows,
     local_problems,
     make_problem_1d,
     make_problem_2d,
@@ -31,6 +33,8 @@ from edvs.ingest import (
     ProblemInstance,
     generate_box_partition,
     generate_poisson_1d,
+    load_matrix,
+    write_matrix,
     write_vector,
 )
 from edvs.schur import IndexSplit, schur_complement
@@ -83,7 +87,7 @@ def convection_problem(n, boxes, c):
     base = make_problem_2d(n, n, boxes, boxes)
     diff = sp.diags([-np.ones(n - 1), np.ones(n - 1)], [-1, 1])
     csr = (base.matrix.csr + c * (sp.kron(sp.identity(n), diff) + sp.kron(diff, sp.identity(n))))
-    return OriginalMatrix(csr=csr.tocsr(), symmetric=c == 0), base.decomposition
+    return OriginalMatrix(csr=csr.tocsr()), base.decomposition
 
 
 class TestAssembleDualRhs:
@@ -116,7 +120,7 @@ class TestFactorInterior:
         bad[0, 0] = bad[0, 1] = bad[1, 0] = bad[1, 1] = 1.0  # singular 2x2 interior
         for k in (2, 3, 4):
             bad[k, k] = 2.0
-        matrix = OriginalMatrix(csr=bad.tocsr(), symmetric=False)
+        matrix = OriginalMatrix(csr=bad.tocsr())
         dm = DecompositionMap.from_memberships([(0,), (0,), (0, 1), (1,), (1,)])
         with pytest.raises(SingularInteriorError) as err:
             factor_interior(matrix, dm)
@@ -128,18 +132,23 @@ class TestFactorInterior:
         for k in (0, 1, 2):
             bad[k, k] = 2.0
         bad[3, 3] = bad[3, 4] = bad[4, 3] = bad[4, 4] = 1.0  # singular 2x2 interior
-        matrix = OriginalMatrix(csr=bad.tocsr(), symmetric=False)
+        matrix = OriginalMatrix(csr=bad.tocsr())
         dm = DecompositionMap.from_memberships([(0,), (0,), (0, 1), (1,), (1,)])
         with pytest.raises(SingularInteriorError) as err:
             factor_interior(matrix, dm)
         assert err.value.subdomain == 1
 
-    @pytest.mark.parametrize("symmetric", [True, False])
-    def test_ordering_reduces_fill_whatever_the_storage_flag(self, symmetric):
-        # a symmetric matrix read from `general` storage gets the same factor
+    def test_ordering_reduces_fill_whatever_the_storage_flag(self, tmp_path):
+        # a symmetric matrix read from `general` storage is symmetric and gets the same factor
         problem = make_problem_2d(65, 65, 4, 4)
-        matrix = OriginalMatrix(csr=problem.matrix.csr, symmetric=symmetric)
+        path = tmp_path / "general.mtx"
+        scipy.io.mmwrite(path, problem.matrix.csr, symmetry="general")
+        assert path.read_text().startswith("%%MatrixMarket matrix coordinate real general\n")
+        matrix = load_matrix(path)
+        assert matrix.symmetric
         fact = factor_interior(matrix, problem.decomposition)
+        ref = factor_interior(problem.matrix, problem.decomposition)
+        assert fact.lu.L.nnz + fact.lu.U.nnz == ref.lu.L.nnz + ref.lu.U.nnz
         default = spla.splu(interior_block(matrix, problem.decomposition).tocsc())
         assert fact.lu.L.nnz + fact.lu.U.nnz < default.L.nnz + default.U.nnz
 
@@ -151,7 +160,7 @@ class TestFactorInterior:
         diagonal = np.full(n, 1e-12)
         diagonal[6] = 4.0
         csr = sp.diags([np.ones(n - 1), diagonal, np.full(n - 1, upper)], [-1, 0, 1]).tocsr()
-        matrix = OriginalMatrix(csr=csr, symmetric=upper == 1.0)
+        matrix = OriginalMatrix(csr=csr)
         dm = DecompositionMap.from_memberships([(0,)] * 6 + [(0, 1)] + [(1,)] * 6)
         fact = factor_interior(matrix, dm)
         a_ii = interior_block(matrix, dm).toarray()
@@ -199,7 +208,7 @@ class TestInterfaceOperator:
         sigma = dense_interface_operator(problem)
         ds = state_2d55.space
         for _ in range(20):
-            v_hat = rng.standard_normal(len(ds.gamma_nodes))
+            v_hat = rng.standard_normal(len(problem.decomposition.interface_nodes))
             v = inject_interface(v_hat, ds)
             got = apply_interface_operator(state_2d55, v)
             want = inject_interface(sigma @ v_hat, ds)
@@ -207,9 +216,10 @@ class TestInterfaceOperator:
 
     def test_symmetric_in_weighted_product(self, state_2d55, rng):
         ds = state_2d55.space
+        n_gamma = len(ds.decomposition.interface_nodes)
         for _ in range(10):
-            v = inject_interface(rng.standard_normal(len(ds.gamma_nodes)), ds)
-            w = inject_interface(rng.standard_normal(len(ds.gamma_nodes)), ds)
+            v = inject_interface(rng.standard_normal(n_gamma), ds)
+            w = inject_interface(rng.standard_normal(n_gamma), ds)
             # on continuous vectors the weighted product is the dot product of node values
             sv_w = np.dot(retract_interface(apply_interface_operator(state_2d55, v), ds),
                           retract_interface(w, ds))
@@ -227,7 +237,7 @@ class TestInterfaceOperator:
         sigma = dense_interface_operator(problem)
         rng = np.random.default_rng(5)
         for _ in range(3):
-            v_hat = rng.standard_normal(len(ds.gamma_nodes) * ds.block_dim)
+            v_hat = rng.standard_normal(len(problem.decomposition.interface_nodes) * ds.block_dim)
             v = inject_interface(v_hat, ds)
             got = apply_interface_operator(state, v)
             want = inject_interface(sigma @ v_hat, ds)
@@ -280,11 +290,14 @@ class TestSolveInterface:
     def test_cg_finite_termination_2d(self, state_2d55):
         g = interface_rhs(state_2d55)
         u_gamma, history, iters = solve_interface(state_2d55, g, SolveConfig(tol=1e-10))
-        assert iters <= len(state_2d55.space.gamma_nodes)
+        assert iters <= len(state_2d55.space.decomposition.interface_nodes)
         assert history[-1] <= 1e-10
 
     def test_cg_rejects_nonsymmetric(self, problem_1d5):
-        matrix = OriginalMatrix(csr=problem_1d5.matrix.csr, symmetric=False)
+        csr = problem_1d5.matrix.csr.tolil()
+        csr[0, 1] = -0.5  # A[1, 0] stays -1
+        matrix = OriginalMatrix(csr=csr.tocsr())
+        assert not matrix.symmetric
         problem = ProblemInstance(matrix=matrix, rhs=problem_1d5.rhs,
                                   decomposition=problem_1d5.decomposition)
         state = setup_solver(problem)
@@ -306,7 +319,7 @@ def block_problem_2d(n, boxes):
 def block_problem(base):
     """`base`'s matrix with two coupled components per node (block_dim 2)."""
     csr = sp.kron(base.matrix.csr, sp.csr_matrix([[2.0, -0.5], [-0.5, 3.0]]), format="csr")
-    matrix = OriginalMatrix(csr=csr, block_dim=2, symmetric=True)
+    matrix = OriginalMatrix(csr=csr, block_dim=2)
     rhs = np.random.default_rng(2).standard_normal(csr.shape[0])
     return ProblemInstance(matrix=matrix, rhs=rhs, decomposition=base.decomposition)
 
@@ -320,11 +333,12 @@ def assert_coarse_space_matches_dense_oracle(problem):
     gamma = dm.interface_nodes
     z_ref = np.kron(dm.incidence[gamma].toarray() / dm.multiplicity[gamma, None], np.eye(d))
     z = coarse.z.toarray()
-    n_classes = len({dm.memberships[p] for p in gamma})
+    rows = incidence_rows(dm)
+    n_classes = len({rows[p] for p in gamma})
     assert z.shape[1] == n_classes * d == np.linalg.matrix_rank(z)
     # the columns follow the classes' subdomain sets in sorted order
-    sets = sorted({dm.memberships[p] for p in gamma})
-    of_node = [sets.index(dm.memberships[p]) for p in gamma]
+    sets = sorted({rows[p] for p in gamma})
+    of_node = [sets.index(rows[p]) for p in gamma]
     assert np.array_equal(z, np.kron(np.eye(n_classes)[of_node], np.eye(d)))
     assert np.linalg.matrix_rank(np.hstack([z_ref, z])) == z.shape[1]
     sigma = dense_interface_operator(problem)
@@ -449,7 +463,8 @@ def reference_greedy_colours(conflict):
 
 def class_incidence(dm):
     """Subdomain x class incidence: a class is the interface nodes of one subdomain set."""
-    sets = sorted({dm.memberships[p] for p in dm.interface_nodes})
+    rows = incidence_rows(dm)
+    sets = sorted({rows[p] for p in dm.interface_nodes})
     cols = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
     rows = np.concatenate(sets)
     return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(dm.n_subdomains, len(sets)))
@@ -494,7 +509,7 @@ def heterogeneous_problem_2d(n, boxes, seed=7):
     weights = 10.0 ** np.random.default_rng(seed).uniform(-3.0, 3.0, grad.shape[0])
     csr = (grad.T @ sp.diags(weights) @ grad).tocsr()
     csr.sort_indices()
-    matrix = OriginalMatrix(csr=csr, symmetric=True)
+    matrix = OriginalMatrix(csr=csr)
     rhs = np.random.default_rng(seed + 1).standard_normal(n * n)
     return ProblemInstance(matrix=matrix, rhs=rhs,
                            decomposition=generate_box_partition(n, n, boxes, boxes))
@@ -614,7 +629,6 @@ def singular_interface_problem():
     2 - 1 - 1 = 0 but its right-hand side is not."""
     matrix = OriginalMatrix(
         csr=sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]])),
-        symmetric=True,
     )
     dm = DecompositionMap.from_memberships([(0,), (0, 1), (1,)])
     return ProblemInstance(matrix=matrix, rhs=np.array([1.0, 0.0, 0.0]), decomposition=dm)
@@ -682,7 +696,7 @@ class TestSolveDvs:
         csr = base.matrix.csr.tolil()
         for p in dm.interface_nodes:
             csr[p, p] = -4.0
-        matrix = OriginalMatrix(csr=csr.tocsr(), symmetric=True)
+        matrix = OriginalMatrix(csr=csr.tocsr())
         problem = ProblemInstance(matrix=matrix, rhs=base.rhs, decomposition=dm)
         eigs = np.linalg.eigvalsh(matrix.csr.toarray())
         assert eigs[0] < 0 < eigs[-1]
@@ -725,13 +739,29 @@ class TestSolveDvs:
         data[1] = 2.0
         data[2, 1:] = -1.2
         csr = sp.dia_matrix((data, [-1, 0, 1]), shape=(5, 5)).tocsr()
-        matrix = OriginalMatrix(csr=csr, symmetric=False)
+        matrix = OriginalMatrix(csr=csr)
         dm = generate_box_partition(5, 1, 2, 1)
         problem = ProblemInstance(matrix=matrix, rhs=np.ones(5), decomposition=dm)
         u_hat, report = solve_dvs(problem, SolveConfig(krylov="gmres", compare_direct=True))
         assert report.relative_error_vs_direct <= 1e-9
         with pytest.raises(ConfigError):
             solve_dvs(problem, SolveConfig(krylov="cg"))
+
+    def test_general_file_with_nonsymmetric_values_refused_by_cg(self, tmp_path):
+        csr = generate_poisson_1d(5).csr.tolil()
+        csr[0, 1] = -0.5
+        path = tmp_path / "n.mtx"
+        write_matrix(OriginalMatrix(csr=csr.tocsr()), path)
+        assert path.read_text().startswith("%%MatrixMarket matrix coordinate real general\n")
+        matrix = load_matrix(path)
+        assert not matrix.symmetric
+        problem = ProblemInstance(matrix=matrix, rhs=np.ones(5),
+                                  decomposition=generate_box_partition(5, 1, 2, 1))
+        with pytest.raises(ConfigError, match="cg requires a symmetric matrix") as err:
+            solve_dvs(problem, SolveConfig())
+        assert err.value.phase == "setup"
+        _, report = solve_dvs(problem, SolveConfig(krylov="gmres", compare_direct=True))
+        assert report.relative_error_vs_direct <= 1e-9
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10, "x", True])
     def test_tol_must_be_finite_and_positive(self, tol):
@@ -751,7 +781,7 @@ class TestSolveDvs:
     def test_block_dim_two(self):
         base = generate_poisson_1d(5)
         csr = sp.kron(base.csr, sp.eye(2), format="csr")
-        matrix = OriginalMatrix(csr=csr.tocsr(), block_dim=2, symmetric=True)
+        matrix = OriginalMatrix(csr=csr.tocsr(), block_dim=2)
         dm = generate_box_partition(5, 1, 2, 1)
         rhs = np.zeros(10)
         rhs[4], rhs[5] = 1.0, 2.0
