@@ -138,12 +138,14 @@ class TestFactorInterior:
             factor_interior(matrix, dm)
         assert err.value.subdomain == 1
 
-    def test_ordering_reduces_fill_whatever_the_storage_flag(self, tmp_path):
-        # a symmetric matrix read from `general` storage is symmetric and gets the same factor
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_ordering_reduces_fill_whatever_the_storage_flag(self, tmp_path, symmetric):
+        # a symmetric matrix read from either storage is symmetric and gets the same factor
         problem = make_problem_2d(65, 65, 4, 4)
-        path = tmp_path / "general.mtx"
-        scipy.io.mmwrite(path, problem.matrix.csr, symmetry="general")
-        assert path.read_text().startswith("%%MatrixMarket matrix coordinate real general\n")
+        storage = "symmetric" if symmetric else "general"
+        path = tmp_path / f"{storage}.mtx"
+        scipy.io.mmwrite(path, problem.matrix.csr, symmetry=storage)
+        assert path.read_text().startswith(f"%%MatrixMarket matrix coordinate real {storage}\n")
         matrix = load_matrix(path)
         assert matrix.symmetric
         fact = factor_interior(matrix, problem.decomposition)
