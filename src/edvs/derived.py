@@ -193,12 +193,17 @@ def is_dual(u_hat: np.ndarray, u: np.ndarray, ds: DerivedSpace, tol: float = 1e-
     return defect <= tol * scale
 
 
-def continuity_defect(u: np.ndarray, ds: DerivedSpace) -> float:
-    """Relative norm of the zero-average component; 0 for continuous vectors."""
+def relative_defect(u: np.ndarray, zero_average: np.ndarray, ds: DerivedSpace) -> float:
+    """Weighted norm of `zero_average` = u - inject(retract(u)) over that of u."""
     nu = norm_derived(u, ds)
     if nu == 0.0:
         return 0.0
-    return norm_derived(project_zero_average(u, ds), ds) / nu
+    return norm_derived(zero_average, ds) / nu
+
+
+def continuity_defect(u: np.ndarray, ds: DerivedSpace) -> float:
+    """Relative norm of the zero-average component; 0 for continuous vectors."""
+    return relative_defect(u, project_zero_average(u, ds), ds)
 
 
 # ---------------------------------------------------------------------------

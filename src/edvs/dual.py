@@ -21,10 +21,10 @@ import scipy.sparse as sp
 
 from .derived import (
     DerivedSpace,
-    continuity_defect,
     flat_block_indices,
     inject,
-    retract,
+    project_continuous,
+    relative_defect,
 )
 from .exceptions import ContinuityError, LocalityError
 from .ingest import OriginalMatrix
@@ -90,24 +90,24 @@ CONTINUITY_TOL = 1e-10
 def apply_dual(op: DualOperator, u: np.ndarray, project: bool = False) -> np.ndarray:
     """Apply the dual operator to a continuous derived vector.
 
-    Non-continuous input raises ContinuityError unless `project=True`, which
-    applies the operator to u's continuous part: the retraction averages each
-    descendant group, so it sees only that part.  Each descendant group's
-    rows of the local products are summed, which adds up the contributions
-    of all the subdomains' blocks, and the sum is injected back to the group.
+    One retraction feeds the check and the product: u's continuous part is
+    what u is compared with and what the local blocks multiply.  Non-continuous
+    input raises ContinuityError unless `project=True`, which skips the
+    check.  Each descendant group's rows of the local products are summed,
+    adding up all the subdomains' blocks, and injected back to the group.
     """
     ds = op.space
     if u.shape != (ds.derived_flat_size,):
         raise ValueError(f"expected length {ds.derived_flat_size}, got {u.shape}")
+    cont = project_continuous(u, ds)
     if not project:
-        defect = continuity_defect(u, ds)
+        defect = relative_defect(u, u - cont, ds)
         if defect > CONTINUITY_TOL:
             raise ContinuityError(
                 f"input has continuity defect {defect:.3e} > {CONTINUITY_TOL:.1e}; "
                 "pass project=True to project first"
             )
-    u_hat = retract(u, ds)
-    local = op.local @ u_hat[ds.origin_flat]
+    local = op.local @ cont
     return inject(np.bincount(ds.origin_flat, weights=local, minlength=ds.original_flat_size), ds)
 
 

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from conftest import incidence_rows, local_problems, with_empty_subdomain
 from edvs.derived import (
     build_derived_space,
+    continuity_defect,
     inject,
     norm_derived,
     project_zero_average,
     retract,
 )
 from edvs.dual import (
+    CONTINUITY_TOL,
     apply_block,
     apply_dual,
     build_dual_operator,
@@ -173,6 +175,58 @@ class TestApplyDual:
                 want = inject(problem.matrix.csr @ retract(u, ds), ds)
                 got = apply_dual(op, u)
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def op_2d(block_dim):
+    """17x17 Poisson on 4x4 boxes; at block_dim 2 two coupled components per node."""
+    matrix = generate_poisson_2d(17, 17)
+    if block_dim == 2:
+        csr = sp.kron(matrix.csr, sp.csr_matrix([[2.0, -0.5], [-0.5, 3.0]]), format="csr")
+        matrix = OriginalMatrix(csr=csr, block_dim=2)
+    ds = build_derived_space(generate_box_partition(17, 17, 4, 4), block_dim=block_dim)
+    return build_dual_operator(matrix, ds)
+
+
+def with_defect(u, ds, ratio, rng):
+    """u, continuous, plus a zero-average vector scaled to a defect of ratio * CONTINUITY_TOL."""
+    w = project_zero_average(rng.standard_normal(ds.derived_flat_size), ds)
+    return u + w * (ratio * CONTINUITY_TOL * norm_derived(u, ds) / norm_derived(w, ds))
+
+
+class TestContinuityCheck:
+    """The check and the product share one retraction; its verdicts and bytes are unchanged."""
+
+    @pytest.mark.parametrize("block_dim", [1, 2])
+    def test_rejects_twice_the_tolerance_with_the_defect_in_the_message(self, block_dim, rng):
+        op = op_2d(block_dim)
+        ds = op.space
+        u = with_defect(inject(rng.standard_normal(ds.original_flat_size), ds), ds, 2.0, rng)
+        defect = continuity_defect(u, ds)
+        assert 1.9 * CONTINUITY_TOL < defect < 2.1 * CONTINUITY_TOL
+        with pytest.raises(ContinuityError) as err:
+            apply_dual(op, u)
+        assert str(err.value) == (f"input has continuity defect {defect:.3e} > "
+                                  f"{CONTINUITY_TOL:.1e}; pass project=True to project first")
+
+    @pytest.mark.parametrize("block_dim", [1, 2])
+    def test_accepts_half_the_tolerance(self, block_dim, rng):
+        op = op_2d(block_dim)
+        ds = op.space
+        u = with_defect(inject(rng.standard_normal(ds.original_flat_size), ds), ds, 0.5, rng)
+        assert 0.4 * CONTINUITY_TOL < continuity_defect(u, ds) < 0.6 * CONTINUITY_TOL
+        assert apply_dual(op, u).tobytes() == apply_dual(op, u, project=True).tobytes()
+
+    @pytest.mark.parametrize("block_dim", [1, 2])
+    def test_continuous_input_bytes_match_the_two_retraction_formula(self, block_dim, rng):
+        op = op_2d(block_dim)
+        ds = op.space
+        u = inject(rng.standard_normal(ds.original_flat_size), ds)
+        local = op.local @ retract(u, ds)[ds.origin_flat]
+        want = inject(np.bincount(ds.origin_flat, weights=local,
+                                  minlength=ds.original_flat_size), ds)
+        got = apply_dual(op, u)
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == apply_dual(op, u, project=True).tobytes()
 
 
 class TestApplyBlock:

@@ -454,7 +454,7 @@ class TestCoarseSpace:
 
 
 def reference_greedy_colours(conflict):
-    """The greedy first-fit colouring written with numpy slices, as the reference."""
+    """The greedy first-fit colouring over full rows, written with numpy slices, as the reference."""
     conflict = conflict.tocsr()
     colours = np.full(conflict.shape[0], -1)
     for a in range(len(colours)):
@@ -493,10 +493,14 @@ def assert_colourings_match_reference(problem):
 
 
 class TestColouring:
-    @pytest.mark.parametrize("shape", [(17, 4), (65, 8), (129, 16)], ids=["17x4", "65x8", "129x16"])
-    def test_matches_reference_and_separates_every_row(self, shape):
-        n, boxes = shape
-        assert_colourings_match_reference(make_problem_2d(n, n, boxes, boxes))
+    @pytest.mark.parametrize("make", [
+        lambda: make_problem_2d(17, 17, 4, 4),
+        lambda: make_problem_2d(65, 65, 8, 8),
+        lambda: make_problem_2d(129, 129, 16, 16),
+        lambda: make_problem_voronoi(129, 256, 1),
+    ], ids=["17x4", "65x8", "129x16", "voronoi-129x256"])
+    def test_matches_reference_and_separates_every_row(self, make):
+        assert_colourings_match_reference(make())
 
     @settings(max_examples=30, deadline=None)
     @given(problem=local_problems())
