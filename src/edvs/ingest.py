@@ -477,9 +477,13 @@ def _parse_vector_lines(path) -> np.ndarray:
 
 
 def write_vector(values: np.ndarray, path) -> None:
+    """One value per line, each as Python's shortest round-trip `repr` of the float."""
+    values = np.asarray(values, dtype=np.float64)
     with open(path, "w") as fh:
-        for v in np.asarray(values, dtype=np.float64):
-            fh.write(f"{float(v)!r}\n")
+        # each element is written as str() of its Python float, which is its repr
+        values.tofile(fh, sep="\n")
+        if values.size:
+            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

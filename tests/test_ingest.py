@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import incidence_rows
@@ -333,6 +333,16 @@ class TestGenerators:
         ingest.write_vector(values, path)
         want = "".join(f"{float(v)!r}\n" for v in values)
         assert path.read_bytes() == want.encode()
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(width=64), max_size=40))
+    @example(values=[])
+    @example(values=[np.copysign(np.nan, -1.0), np.inf, -0.0, 5e-324, 9999999999999998.0])
+    def test_written_bytes_match_repr_for_any_doubles(self, tmp_path_factory, values):
+        # NaN of either sign, infinities, subnormals and the empty vector
+        path = tmp_path_factory.mktemp("vec") / "v.rhs"
+        ingest.write_vector(np.array(values, dtype=np.float64), path)
+        assert path.read_bytes() == "".join(f"{float(v)!r}\n" for v in values).encode()
 
     def test_written_matrix_bytes_match_one_repr_per_entry(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -326,9 +326,28 @@ def block_problem(base):
     return ProblemInstance(matrix=matrix, rhs=rhs, decomposition=base.decomposition)
 
 
-def assert_coarse_space_matches_dense_oracle(problem):
-    """Z has one independent column per class and component and spans the per-subdomain
-    columns; S Z and the LU of Z' S Z agree with the dense Schur complement."""
+def sparse_direct_interface_operator(problem):
+    """Oracle for interiors too large for the dense one's pseudo-inverse: A_GG - A_GI A_II^-1
+    A_IG on interface nodes, densified, with scipy's default sparse LU (COLAMD ordering)."""
+    dm = problem.decomposition
+    d = problem.matrix.block_dim
+    csr = problem.matrix.csr
+    i_flat = flat_block_indices(dm.interior_nodes, d)
+    g_flat = flat_block_indices(dm.interface_nodes, d)
+    x = spla.spsolve(csr[np.ix_(i_flat, i_flat)].tocsc(), csr[np.ix_(i_flat, g_flat)].toarray())
+    return csr[np.ix_(g_flat, g_flat)].toarray() - csr[np.ix_(g_flat, i_flat)] @ x
+
+
+def legendre(j, t):
+    """P_j(t) for j <= 3, in closed form."""
+    return (np.ones_like(t), t, (3 * t ** 2 - 1) / 2, (5 * t ** 3 - 3 * t) / 2)[j]
+
+
+def assert_coarse_space_matches_dense_oracle(problem, sigma=None):
+    """Z holds, class by class in sorted order of the subdomain sets, then by degree, then by
+    component, the Legendre moments of each class in full column rank, and spans the
+    per-subdomain columns; S Z and the LU of Z' S Z agree with the dense Schur complement
+    (`sigma`, by default the dense oracle)."""
     dm = problem.decomposition
     d = problem.matrix.block_dim
     coarse = build_coarse_space(setup_solver(problem))
@@ -336,14 +355,26 @@ def assert_coarse_space_matches_dense_oracle(problem):
     z_ref = np.kron(dm.incidence[gamma].toarray() / dm.multiplicity[gamma, None], np.eye(d))
     z = coarse.z.toarray()
     rows = incidence_rows(dm)
-    n_classes = len({rows[p] for p in gamma})
-    assert z.shape[1] == n_classes * d == np.linalg.matrix_rank(z)
-    # the columns follow the classes' subdomain sets in sorted order
     sets = sorted({rows[p] for p in gamma})
-    of_node = [sets.index(rows[p]) for p in gamma]
-    assert np.array_equal(z, np.kron(np.eye(n_classes)[of_node], np.eye(d)))
+    expected, short = [], []
+    for members in ([i for i, p in enumerate(gamma) if rows[p] == s] for s in sets):
+        # the class's nodes in ascending order, at the midpoints of s equal cells of [-1, 1]
+        size = len(members)
+        t = (2 * np.arange(size) + 1) / size - 1
+        for j in range(min(max(size // 12, 1), 4)):
+            expected.append(np.zeros(len(gamma)))
+            expected[-1][members] = legendre(j, t)
+            short.append(size < 24)
+    expected = np.kron(np.column_stack(expected), np.eye(d))
+    short = np.repeat(short, d)
+    assert z.shape == expected.shape
+    # a class under 24 nodes has one column per component, its indicator, exactly
+    assert np.array_equal(z[:, short], expected[:, short])
+    assert np.abs(z - expected).max() <= 1e-15
+    assert np.linalg.matrix_rank(z) == z.shape[1]
     assert np.linalg.matrix_rank(np.hstack([z_ref, z])) == z.shape[1]
-    sigma = dense_interface_operator(problem)
+    if sigma is None:
+        sigma = dense_interface_operator(problem)
     scale = max(np.abs(sigma).max(), 1.0)
     assert np.abs(coarse.sz_t.T.toarray() - sigma @ z).max() <= 1e-12 * scale
     # SuperLU factors Pr E Pc = L U
@@ -376,6 +407,16 @@ class TestCoarseSpace:
         # 17^2 / 4x4 boxes: 33 classes, the 24 edges and the 9 cross points
         assert_coarse_space_matches_dense_oracle(problem)
 
+    @pytest.mark.parametrize("problem, n_columns", [
+        (make_problem_2d(65, 65, 2, 2), 9), (block_problem_2d(65, 2), 18),
+        (make_problem_2d(129, 129, 2, 2), 17),
+    ], ids=["2d65x2", "2d65x2_d2", "2d129x2"])
+    def test_long_classes_match_direct_oracle(self, problem, n_columns):
+        # 2x2 boxes: four edges and one cross point; the 31-node edges of 65^2 get
+        # P_0 and P_1, the 63-node edges of 129^2 P_0 .. P_3
+        assert build_coarse_space(setup_solver(problem)).z.shape[1] == n_columns
+        assert_coarse_space_matches_dense_oracle(problem, sparse_direct_interface_operator(problem))
+
     @pytest.mark.parametrize("krylov", ["cg", "gmres"])
     @settings(max_examples=60, deadline=None)
     @given(problem=local_problems(), empty=st.booleans())
@@ -398,16 +439,19 @@ class TestCoarseSpace:
         _, fine = seeded_solve(129, 16)
         assert fine.iterations <= 1.25 * coarse.iterations
 
-    @pytest.mark.parametrize("shape, n_classes", [((129, 16), 705), ((257, 4), 33)],
+    @pytest.mark.parametrize("shape, n_columns, n_solves", [((129, 16), 705, 8),
+                                                          ((257, 4), 105, 20)],
                              ids=["129x16", "257x4"])
-    def test_box_classes_are_edges_and_cross_points(self, shape, n_classes):
-        # b x b boxes: 2b(b - 1) edges and (b - 1)^2 cross points; 8 colours of classes
+    def test_box_classes_are_edges_and_cross_points(self, shape, n_columns, n_solves):
+        # b x b boxes: 2b(b - 1) edges and (b - 1)^2 cross points.  The 7-node edges
+        # of 129^2 / 16x16 have one column each, in 8 colours; the 63-node edges of
+        # 257^2 / 4x4 have four, P_0 .. P_3: 24 * 4 + 9 columns in 20 colours
         n, boxes = shape
         state = setup_solver(make_problem_2d(n, n, boxes, boxes))
         state.interior = CountingInterior(state.interior)
         coarse = build_coarse_space(state)
-        assert coarse.z.shape[1] == n_classes
-        assert state.interior.calls == 8
+        assert coarse.z.shape[1] == n_columns
+        assert state.interior.calls == n_solves
 
     def test_blocked_builds_match_single_column_solves_on_voronoi(self, monkeypatch):
         # 129^2 over 256 Voronoi cells: 1100 classes in 22 colours, solved in
@@ -646,9 +690,10 @@ def voronoi_ones(n, k, seed):
                            decomposition=problem.decomposition)
 
 
-# box partitions, ids "boxes-n", then seeded Voronoi partitions of k cells
+# box partitions, ids "boxes-n", then seeded Voronoi partitions of k cells; at
+# 129^2 / 4x4 (H/h = 32) CG takes 23 iterations, 32 with one coarse column per class
 LADDER = [pytest.param(make_problem_2d(n, n, boxes, boxes), id=f"{boxes}-{n}")
-          for boxes in (4, 8) for n in (33, 65)] + [
+          for boxes, n in ((4, 33), (4, 65), (8, 33), (8, 65), (4, 129))] + [
     pytest.param(voronoi_ones(n, k, seed=1), id=f"voronoi{k}-{n}") for n, k in ((33, 16), (65, 64))]
 
 
