@@ -27,7 +27,8 @@ also its first Legendre moments along the class, up to degree 3 (see
 is nonsingular wherever S is definite.  E is sparse and is factored by the same
 sparse LU as A_II.  The coarse solve Z E^-1 Z' g is the starting iterate, and
 every search direction is made S-orthogonal to Z.  CG is also preconditioned
-by M ~ S, probed on the node pattern of A_GG^2 (Chan & Mathew 1992), then
+by M ~ S, probed on the node pattern of A_GG^k (Chan & Mathew 1992), k = 3
+on long, edge-like classes and 2 otherwise (see `probe_width`), then
 symmetrized, with a diagonal entry raised wherever its row is not strictly
 diagonally dominant, so M is SPD, and factored once.  S Z and the probe each
 take one interior right-hand side per colour and component, solved in
@@ -125,6 +126,7 @@ class InterfaceBlocks:
     ig: sp.csr_matrix
     gi: sp.csr_matrix
     gg: sp.csr_matrix
+    coupled: np.ndarray         # the interior entries A_GI reads: its nonempty columns
 
 
 def interface_blocks(matrix: OriginalMatrix, dm: DecompositionMap) -> InterfaceBlocks:
@@ -133,12 +135,14 @@ def interface_blocks(matrix: OriginalMatrix, dm: DecompositionMap) -> InterfaceB
     i_flat = flat_block_indices(dm.interior_nodes, d)
     g_flat = flat_block_indices(dm.interface_nodes, d)
     csr = matrix.csr
+    gi = csr[np.ix_(g_flat, i_flat)].tocsr()
     return InterfaceBlocks(
         interior_flat=i_flat,
         gamma_flat=g_flat,
         ig=csr[np.ix_(i_flat, g_flat)].tocsr(),
-        gi=csr[np.ix_(g_flat, i_flat)].tocsr(),
+        gi=gi,
         gg=csr[np.ix_(g_flat, g_flat)].tocsr(),
+        coupled=np.flatnonzero(np.diff(gi.tocsc().indptr)),
     )
 
 
@@ -269,8 +273,8 @@ def _schur(state: SolverState, v_hat: np.ndarray) -> np.ndarray:
     return b.gg @ v_hat - b.gi @ state.interior.solve(b.ig @ v_hat)
 
 
-def _interior_solves(state: SolverState, rhs: sp.spmatrix) -> tuple[np.ndarray, np.ndarray]:
-    """The interior flat entries A_GI reads, and A_II^-1 rhs at those entries.
+def _interior_solves(state: SolverState, rhs: sp.spmatrix) -> np.ndarray:
+    """A_II^-1 rhs at the interior entries A_GI reads, `state.blocks.coupled`.
 
     `rhs` is a build's sparse n_I x k right-hand sides.  At most
     `_SOLVE_BLOCK` columns are densified at a time, in Fortran order, and
@@ -283,13 +287,13 @@ def _interior_solves(state: SolverState, rhs: sp.spmatrix) -> tuple[np.ndarray, 
     with a row per interior entry: 9-column blocks raised the peak memory
     of a 129^2 / 16x16 solve by 8-10%.
     """
-    coupled = np.flatnonzero(np.diff(state.blocks.gi.tocsc().indptr))
+    coupled = state.blocks.coupled
     rhs = rhs.tocsc()
     x = np.empty((len(coupled), rhs.shape[1]))
     for lo in range(0, rhs.shape[1], _SOLVE_BLOCK):
         block = slice(lo, lo + _SOLVE_BLOCK)
         x[:, block] = state.interior.solve(rhs[:, block].toarray(order="F"))[coupled]
-    return coupled, x
+    return x
 
 
 def _indicator(group: np.ndarray, d: int, n_groups: int) -> sp.csr_matrix:
@@ -336,20 +340,64 @@ def _greedy_colours(conflict: sp.spmatrix) -> np.ndarray:
 
     Rows a and b conflict where the symmetric `conflict` has an entry.  In
     index order only the lower-index neighbours of a row have a colour yet,
-    so only the strict lower triangle is read.  The rows are read through
-    memoryviews: as fast as Python lists, 2-3x faster than slicing numpy
-    arrays per row, and without a Python int for every entry at once.
+    so only the entries below the diagonal are read, picked by a mask over
+    the CSR arrays; `sp.tril` would build and convert a COO copy.  A row's
+    taken colours are the bits of one int, and its colour is the lowest bit
+    still clear.  The rows are read through a memoryview: as fast as a Python
+    list, 2-3x faster than slicing numpy arrays per row, and without a
+    Python int for every entry at once.
     """
-    conflict = sp.tril(conflict, k=-1, format="csr")
-    indptr, indices = memoryview(conflict.indptr), memoryview(conflict.indices)
-    colours = [-1] * conflict.shape[0]
-    for a in range(len(colours)):
-        taken = {colours[b] for b in indices[indptr[a]:indptr[a + 1]]}
-        c = 0
-        while c in taken:
-            c += 1
-        colours[a] = c
-    return np.array(colours, dtype=np.int64)
+    conflict = conflict.tocsr()
+    n = conflict.shape[0]
+    row = np.repeat(np.arange(n), np.diff(conflict.indptr))
+    below = conflict.indices < row
+    indices = memoryview(conflict.indices[below])
+    ends = np.cumsum(np.bincount(row[below], minlength=n)).tolist()
+    bits = [0] * n      # 1 << colour of each row
+    lo = 0
+    for a, hi in enumerate(ends):
+        taken = 0
+        for b in indices[lo:hi]:
+            taken |= bits[b]
+        bits[a] = ~taken & (taken + 1)
+        lo = hi
+    return np.array([b.bit_length() - 1 for b in bits], dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class InterfaceClasses:
+    """The interface classes: each is the interface nodes of one subdomain set.
+
+    On 2D boxes a class is an edge or a cross point, on 3D boxes also a face.
+    Classes run in the lexicographic order of their subdomain sets.
+    """
+
+    sets: np.ndarray      # class x slot: each class's sorted subdomains, padded with -1
+    of_node: np.ndarray   # the class of each interface node
+    rank: np.ndarray      # each interface node's place in its class, in ascending node order
+    size: np.ndarray      # nodes per class
+
+
+def interface_classes(dm: DecompositionMap) -> InterfaceClasses:
+    """Group the interface nodes by their subdomain sets, for the coarse space and the probe."""
+    # each node's sorted subdomains, padded with -1: equal rows are one class
+    member = dm.incidence[dm.interface_nodes]
+    mult = np.diff(member.indptr)
+    node = np.repeat(np.arange(len(mult)), mult)
+    sets = np.full((len(mult), mult.max()), -1)
+    sets[node, np.arange(member.nnz) - member.indptr[node]] = member.indices
+    # classes in lexicographic order of their sets, first column first; the
+    # sort is stable, so each class's nodes stay in ascending order
+    order = np.lexsort(sets.T[::-1])
+    sets = sets[order]
+    first = np.ones(len(sets), dtype=bool)
+    first[1:] = (sets[1:] != sets[:-1]).any(axis=1)
+    of_node = np.empty(len(order), dtype=np.int64)
+    of_node[order] = np.cumsum(first) - 1
+    size = np.bincount(of_node)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order)) - np.repeat(np.cumsum(size) - size, size)
+    return InterfaceClasses(sets=sets[first], of_node=of_node, rank=rank, size=size)
 
 
 def build_coarse_space(state: SolverState) -> CoarseSpace:
@@ -391,28 +439,11 @@ def build_coarse_space(state: SolverState) -> CoarseSpace:
     ds, b = state.space, state.blocks
     dm = ds.decomposition
     d = ds.block_dim
-    # each node's sorted subdomains, padded with -1: equal rows are one class
-    member = dm.incidence[dm.interface_nodes]
-    mult = np.diff(member.indptr)
-    node = np.repeat(np.arange(len(mult)), mult)
-    sets = np.full((len(mult), mult.max()), -1)
-    sets[node, np.arange(member.nnz) - member.indptr[node]] = member.indices
-    # classes in lexicographic order of their sets, first column first; the
-    # sort is stable, so each class's nodes stay in ascending order
-    order = np.lexsort(sets.T[::-1])
-    sets = sets[order]
-    first = np.ones(len(sets), dtype=bool)
-    first[1:] = (sets[1:] != sets[:-1]).any(axis=1)
-    of_node = np.empty(len(order), dtype=np.int64)
-    of_node[order] = np.cumsum(first) - 1
-    sets = sets[first]
-    # column j of a class holds P_j at t = (2 rank + 1) / size - 1, rank the
-    # node's place in its class
-    size = np.bincount(of_node)
+    classes = interface_classes(dm)
+    sets, of_node, size = classes.sets, classes.of_node, classes.size
+    # column j of a class holds P_j at t = (2 rank + 1) / size - 1
     moments = np.clip(size // _NODES_PER_MOMENT, 1, _MAX_MOMENTS)
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order)) - np.repeat(np.cumsum(size) - size, size)
-    t = (2 * rank + 1) / size[of_node] - 1
+    t = (2 * classes.rank + 1) / size[of_node] - 1
     node, degree = np.nonzero(np.arange(_MAX_MOMENTS) < moments[of_node, None])
     column = (np.cumsum(moments) - moments)[of_node[node]] + degree
     k = np.arange(d)
@@ -427,7 +458,8 @@ def build_coarse_space(state: SolverState) -> CoarseSpace:
     n_colours = colours.max() + 1
     # A_II^-1 A_IG times each colour's columns of Z summed, where A_GI reads
     # it, and the home subdomain of each entry read
-    coupled, x = _interior_solves(state, b.ig @ (z @ _indicator(colours, d, n_colours)))
+    x = _interior_solves(state, b.ig @ (z @ _indicator(colours, d, n_colours)))
+    coupled = b.coupled
     home = dm.home[dm.interior_nodes[coupled // d]]
     # near[s, c]: the column of colour c that touches subdomain s, -1 if none
     near = np.full((dm.n_subdomains, n_colours), -1)
@@ -456,14 +488,45 @@ def build_coarse_space(state: SolverState) -> CoarseSpace:
 _DOMINANCE_MARGIN = 1e-6
 
 
+def probe_width(state: SolverState, one_step: sp.csr_matrix) -> int:
+    """The power k of the node pattern of A_GG that the probe reads: 3 or 2.
+
+    k = 3 when the interface classes are long and edge-like: the median
+    interface node lies on a class of 24 nodes or more (the size at which a
+    class gets a second coarse column), and every class that long is a path
+    in A_GG, with no node that has more than 2 neighbours in its own class.
+    Otherwise k = 2.  `one_step` is the node-level pattern of A_GG with its
+    diagonal.
+
+    A wider probe takes more colours, so more interior solves, for fewer
+    iterations.  With a seeded random right-hand side and tol 1e-10, k = 3
+    took 257^2 / 4x4 boxes (63-node edges) from 25 to 21 iterations, with
+    13 probe colours against 9, in about the same time.  On short classes
+    it does not pay: at 129^2 / 16x16 (7-node edges) 16 -> 15 iterations
+    cost 16% more time, and on the 25- to 36-node faces of 3D 25^3 / 4x4x4
+    boxes the probe colours doubled (32 -> 65) and the solve took 4x as long.
+    """
+    classes = interface_classes(state.space.decomposition)
+    size = classes.size[classes.of_node]
+    long_class = 2 * _NODES_PER_MOMENT
+    if np.median(size) < long_class:
+        return 2
+    pairs = one_step.tocoo()
+    inside = ((pairs.row != pairs.col) & (size[pairs.row] >= long_class)
+              & (classes.of_node[pairs.row] == classes.of_node[pairs.col]))
+    return 3 if np.bincount(pairs.row[inside]).max(initial=0) <= 2 else 2
+
+
 def probe_pattern(state: SolverState) -> sp.csr_matrix:
-    """The node-level pattern of A_GG^2, with its diagonal and all entries 1."""
+    """The node-level pattern of A_GG^k, k from `probe_width`, with its diagonal and all entries 1."""
     gg = state.blocks.gg.tocoo()
     d = state.space.block_dim
     n = len(state.space.decomposition.interface_nodes)
     one_step = sp.csr_matrix((np.ones(gg.nnz), (gg.row // d, gg.col // d)), shape=(n, n))
     one_step = one_step + sp.identity(n, format="csr")
-    reach = one_step @ one_step
+    reach = one_step
+    for _ in range(probe_width(state, one_step) - 1):
+        reach = reach @ one_step
     reach.data[:] = 1.0
     return reach
 
@@ -475,20 +538,21 @@ def probe_interface_operator(state: SolverState) -> sp.csr_matrix:
     nodes of one colour.  S applied to the indicator of one colour and
     component then gives, in every row, the entry of the one pattern column
     of that colour, plus the entries of S off the pattern in that row and
-    colour.  One interior right-hand side per colour and component, 9 on
-    box partitions, put through SuperLU in blocks (`_interior_solves`).
+    colour.  One interior right-hand side per colour and component, put
+    through SuperLU in blocks (`_interior_solves`): on box partitions 9
+    colours at k = 2 and 13 at k = 3.
     """
     d = state.space.block_dim
     b = state.blocks
     pattern = probe_pattern(state)
     # all entries are 1, so no sum in the square cancels: two nodes of one
-    # colour are neither adjacent nor two steps apart
+    # colour are more than 2 k steps apart in A_GG
     colours = _greedy_colours(pattern @ pattern)
     pattern = pattern.tocoo()
     n_flat = len(colours) * d
     v = _indicator(colours, d, colours.max() + 1)
-    coupled, x = _interior_solves(state, b.ig @ v)
-    probes = (b.gg @ v).toarray() - b.gi[:, coupled] @ x
+    x = _interior_solves(state, b.ig @ v)
+    probes = (b.gg @ v).toarray() - b.gi[:, b.coupled] @ x
     # d x d blocks: row component l, column component k
     l, k = (a.ravel() for a in np.meshgrid(np.arange(d), np.arange(d), indexing="ij"))
     rows = (pattern.row[:, None] * d + l).ravel()

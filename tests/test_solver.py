@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -565,20 +566,52 @@ def heterogeneous_problem_2d(n, boxes, seed=7):
                            decomposition=generate_box_partition(n, n, boxes, boxes))
 
 
-def assert_probe_matches_dense_oracle(problem):
-    """Probed entries are the colour sums of the dense Schur complement, on the pattern."""
+def node_adjacency(problem):
+    """The dense node-level pattern of A_GG, without the diagonal."""
+    d = problem.matrix.block_dim
+    gamma = flat_block_indices(problem.decomposition.interface_nodes, d)
+    a_gg = np.abs(problem.matrix.csr[np.ix_(gamma, gamma)].toarray())
+    nodes = len(problem.decomposition.interface_nodes)
+    adjacent = a_gg.reshape(nodes, d, nodes, d).sum(axis=(1, 3)) > 0
+    np.fill_diagonal(adjacent, False)
+    return adjacent
+
+
+def class_of_each_interface_node(dm):
+    """Per interface node, its subdomain set and the number of interface nodes that share it."""
+    rows = incidence_rows(dm)
+    cls = [rows[p] for p in dm.interface_nodes]
+    count = Counter(cls)
+    return cls, np.array([count[c] for c in cls])
+
+
+def reference_probe_width(problem):
+    """3 when the median interface node lies on a class of 24 nodes or more and each such
+    class is a path in A_GG (no node with 3 neighbours in its class), else 2."""
+    cls, size = class_of_each_interface_node(problem.decomposition)
+    if np.median(size) < 24:
+        return 2
+    adjacent = node_adjacency(problem)
+    for i in np.flatnonzero(size >= 24):
+        if sum(cls[j] == cls[i] for j in np.flatnonzero(adjacent[i])) > 2:
+            return 2
+    return 3
+
+
+def assert_probe_matches_dense_oracle(problem, sigma=None):
+    """Probed entries are the colour sums of the Schur complement (`sigma`, by default the
+    dense oracle) on the pattern of A_GG^k, k the width of `reference_probe_width`; returns k."""
     d = problem.matrix.block_dim
     state = setup_solver(problem)
     pattern = probe_pattern(state)
-    # the node-level pattern of A_GG^2, with the diagonal
-    gamma = flat_block_indices(problem.decomposition.interface_nodes, d)
-    a_gg = np.abs(problem.matrix.csr.toarray()[np.ix_(gamma, gamma)])
-    nodes = len(problem.decomposition.interface_nodes)
-    one_step = a_gg.reshape(nodes, d, nodes, d).sum(axis=(1, 3)) + np.eye(nodes)
-    assert np.array_equal(pattern.toarray() != 0, one_step @ one_step > 0)
+    # the node-level pattern of A_GG^k, with the diagonal
+    width = reference_probe_width(problem)
+    one_step = node_adjacency(problem) + np.eye(pattern.shape[0])
+    assert np.array_equal(pattern.toarray() != 0, np.linalg.matrix_power(one_step, width) > 0)
     colours = _greedy_colours(pattern @ pattern)
     assert_rows_hold_distinct_colours(pattern, colours)
-    sigma = dense_interface_operator(problem)
+    if sigma is None:
+        sigma = dense_interface_operator(problem)
     # columns of sigma summed over each colour, per component
     sums = sigma @ np.kron(np.eye(colours.max() + 1)[colours], np.eye(d))
     mask = np.kron(pattern.toarray(), np.ones((d, d))) > 0
@@ -587,6 +620,7 @@ def assert_probe_matches_dense_oracle(problem):
     got = probe_interface_operator(state)
     assert np.all(got.toarray()[~mask] == 0.0)
     assert np.abs(got.toarray() - expected).max() <= 1e-12 * max(np.abs(sigma).max(), 1.0)
+    return width
 
 
 class TestProbe:
@@ -595,7 +629,16 @@ class TestProbe:
                                          block_problem(VORONOI_29)],
                              ids=["1d17x4", "2d17x4", "2d17x4_d2", "voronoi29", "voronoi29_d2"])
     def test_matches_dense_oracle(self, problem):
-        assert_probe_matches_dense_oracle(problem)
+        # short classes: the pattern of A_GG^2
+        assert assert_probe_matches_dense_oracle(problem) == 2
+
+    @pytest.mark.parametrize("problem", [make_problem_2d(49, 49, 2, 2), block_problem_2d(49, 2)],
+                             ids=["2d49x2", "2d49x2_d2"])
+    def test_long_path_classes_match_direct_oracle(self, problem):
+        # 2x2 boxes: four 24-node edges, paths in A_GG, and one cross point; the
+        # pattern of A_GG^3
+        sigma = sparse_direct_interface_operator(problem)
+        assert assert_probe_matches_dense_oracle(problem, sigma) == 3
 
     @settings(max_examples=40, deadline=None)
     @given(problem=local_problems(), empty=st.booleans())
@@ -606,6 +649,33 @@ class TestProbe:
             problem = ProblemInstance(matrix=problem.matrix, rhs=problem.rhs,
                                       decomposition=with_empty_subdomain(problem.decomposition))
         assert_probe_matches_dense_oracle(problem)
+
+    @pytest.mark.parametrize("n, boxes, width, n_colours, iterations", [
+        (129, 16, 2, 9, (16, 16)), (257, 4, 3, 13, (1, 22)),
+    ], ids=["129x16", "257x4"])
+    def test_width_follows_the_classes(self, n, boxes, width, n_colours, iterations):
+        # the 7-node edges of 129^2 / 16x16 keep A_GG^2 and its 9 colours; the 63-node
+        # edges of 257^2 / 4x4 get A_GG^3, with 13 colours and 25 -> 21 iterations
+        problem = make_problem_2d(n, n, boxes, boxes)
+        assert reference_probe_width(problem) == width
+        state = setup_solver(problem)
+        state.interior = CountingInterior(state.interior)
+        probe_interface_operator(state)
+        assert state.interior.calls == n_colours
+        _, report = seeded_solve(n, boxes)
+        assert iterations[0] <= report.iterations <= iterations[1]
+
+    def test_3d_faces_keep_width_2(self):
+        # 13^3 / 2x2x2 boxes: the median interface node lies on a 36-node face, and a
+        # face is no path, so the probe reads A_GG^2: 31 colours (61 with A_GG^3)
+        problem = make_problem_3d(13, 2)
+        assert np.median(class_of_each_interface_node(problem.decomposition)[1]) >= 24
+        sigma = sparse_direct_interface_operator(problem)
+        assert assert_probe_matches_dense_oracle(problem, sigma) == 2
+        state = setup_solver(problem)
+        state.interior = CountingInterior(state.interior)
+        probe_interface_operator(state)
+        assert state.interior.calls == 31
 
     def test_halves_iterations(self, monkeypatch):
         # 129^2 / 16x16 boxes, the many-small shape: 16 iterations, 30 without the probe
