@@ -30,14 +30,17 @@ every search direction is made S-orthogonal to Z.  CG is also preconditioned
 by M ~ S, probed on the node pattern of A_GG^k (Chan & Mathew 1992), k = 3
 on long, edge-like classes and 2 otherwise (see `probe_width`), then
 symmetrized, with a diagonal entry raised wherever its row is not strictly
-diagonally dominant, so M is SPD, and factored once.  S Z and the probe each
-take one interior right-hand side per colour and component, solved in
-blocks of a few columns per SuperLU call.  Z, S Z, the factor of E and M
-are built only when needed (M only when the coarse solve leaves work) and
-are interface-operator work, timed in `interface_ms`.  The iteration count
-is the number of Krylov steps after the coarse solve, 0 when Z spans the
-interface; the stopping test stays on the true residual.  GMRES is neither
-deflated nor preconditioned.
+diagonally dominant, so M is SPD, and factored once.  On large subdomains
+the probe reads S_W = A_GG - A_GW A_WW^-1 A_WG instead of S, where W is the
+strip of interior entries within three steps of the interface, with its own
+sparse LU (see `_probe_solves`); S Z stays exact.  S Z and the probe each
+take one right-hand side per colour and component, solved in blocks of a
+few columns per SuperLU call.  The interface classes, Z, S Z, the factor of
+E, the strip factor and M are built only when needed (M and the strip only
+when the coarse solve leaves work) and are interface-operator work, timed in
+`interface_ms`.  The iteration count is the number of Krylov steps after the
+coarse solve, 0 when Z spans the interface; the stopping test stays on the
+true residual.  GMRES is neither deflated nor preconditioned.
 """
 from __future__ import annotations
 
@@ -45,6 +48,7 @@ import numbers
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -239,6 +243,11 @@ class SolverState:
     blocks: InterfaceBlocks     # A_IG, A_GI, A_GG in sorted interior / interface order
     interior: InteriorFactorization | None = None
 
+    @cached_property
+    def classes(self) -> InterfaceClasses:
+        """The interface classes, computed once, on first use by the coarse space or the probe."""
+        return interface_classes(self.space.decomposition)
+
 
 def _build_state(problem: ProblemInstance) -> SolverState:
     """Validate locality, build the derived space, and slice the coupling blocks."""
@@ -273,26 +282,29 @@ def _schur(state: SolverState, v_hat: np.ndarray) -> np.ndarray:
     return b.gg @ v_hat - b.gi @ state.interior.solve(b.ig @ v_hat)
 
 
-def _interior_solves(state: SolverState, rhs: sp.spmatrix) -> np.ndarray:
-    """A_II^-1 rhs at the interior entries A_GI reads, `state.blocks.coupled`.
+def _interior_solves(rhs: sp.spmatrix, solve, kept: np.ndarray,
+                     read: np.ndarray | None = None) -> np.ndarray:
+    """`solve` of the rows `read` of `rhs` (all rows if None), at the rows `kept`.
 
-    `rhs` is a build's sparse n_I x k right-hand sides.  At most
-    `_SOLVE_BLOCK` columns are densified at a time, in Fortran order, and
-    each block is one SuperLU solve; only the rows A_GI reads are kept.  On
-    a shared 2-vCPU host with one BLAS thread, one 4-column solve took
+    `rhs` is a build's sparse n_I x k right-hand sides.  `solve` is the
+    interior factor's, over all interior entries, or the probe's strip
+    factor's, over the strip's entries `read` (see `_probe_solves`); `kept`
+    places the interior entries A_GI reads, `blocks.coupled`, among the rows
+    `solve` returns.  At most `_SOLVE_BLOCK` columns are densified at a
+    time, in Fortran order, and each block is one SuperLU solve.  On a
+    shared 2-vCPU host with one BLAS thread, one 4-column solve took
     0.54-0.58 of the time of four single ones at 129^2 / 16x16 boxes and
     0.41-0.65 at 257^2 / 4x4, over two measurements.  A block solve differs
     from single solves at most in round-off and is the same for every BLAS
     thread count.  Wider blocks save little more, and each is a dense array
-    with a row per interior entry: 9-column blocks raised the peak memory
+    with a row per entry solved for: 9-column blocks raised the peak memory
     of a 129^2 / 16x16 solve by 8-10%.
     """
-    coupled = state.blocks.coupled
-    rhs = rhs.tocsc()
-    x = np.empty((len(coupled), rhs.shape[1]))
+    rhs = (rhs if read is None else rhs.tocsr()[read]).tocsc()
+    x = np.empty((len(kept), rhs.shape[1]))
     for lo in range(0, rhs.shape[1], _SOLVE_BLOCK):
         block = slice(lo, lo + _SOLVE_BLOCK)
-        x[:, block] = state.interior.solve(rhs[:, block].toarray(order="F"))[coupled]
+        x[:, block] = solve(rhs[:, block].toarray(order="F"))[kept]
     return x
 
 
@@ -439,7 +451,7 @@ def build_coarse_space(state: SolverState) -> CoarseSpace:
     ds, b = state.space, state.blocks
     dm = ds.decomposition
     d = ds.block_dim
-    classes = interface_classes(dm)
+    classes = state.classes
     sets, of_node, size = classes.sets, classes.of_node, classes.size
     # column j of a class holds P_j at t = (2 rank + 1) / size - 1
     moments = np.clip(size // _NODES_PER_MOMENT, 1, _MAX_MOMENTS)
@@ -458,7 +470,8 @@ def build_coarse_space(state: SolverState) -> CoarseSpace:
     n_colours = colours.max() + 1
     # A_II^-1 A_IG times each colour's columns of Z summed, where A_GI reads
     # it, and the home subdomain of each entry read
-    x = _interior_solves(state, b.ig @ (z @ _indicator(colours, d, n_colours)))
+    x = _interior_solves(b.ig @ (z @ _indicator(colours, d, n_colours)), state.interior.solve,
+                         b.coupled)
     coupled = b.coupled
     home = dm.home[dm.interior_nodes[coupled // d]]
     # near[s, c]: the column of colour c that touches subdomain s, -1 if none
@@ -486,6 +499,11 @@ def build_coarse_space(state: SolverState) -> CoarseSpace:
 # iteration counts hardly move between 0 and 1e-3, while a 2x raise costs
 # 40-70% more on Poisson
 _DOMINANCE_MARGIN = 1e-6
+# the probe reads S_W, W the interior entries within this many steps of the
+# interface, when this many times the coupled entries is at most this share of
+# the interior; see `_probe_solves`
+_STRIP_DEPTH = 3
+_STRIP_SHARE = 0.5
 
 
 def probe_width(state: SolverState, one_step: sp.csr_matrix) -> int:
@@ -506,7 +524,7 @@ def probe_width(state: SolverState, one_step: sp.csr_matrix) -> int:
     cost 16% more time, and on the 25- to 36-node faces of 3D 25^3 / 4x4x4
     boxes the probe colours doubled (32 -> 65) and the solve took 4x as long.
     """
-    classes = interface_classes(state.space.decomposition)
+    classes = state.classes
     size = classes.size[classes.of_node]
     long_class = 2 * _NODES_PER_MOMENT
     if np.median(size) < long_class:
@@ -531,16 +549,82 @@ def probe_pattern(state: SolverState) -> sp.csr_matrix:
     return reach
 
 
+def interior_strip(state: SolverState) -> np.ndarray:
+    """The interior entries within `_STRIP_DEPTH` steps of the interface, in sorted interior order.
+
+    The coupled entries (`blocks.coupled`, one step) and `_STRIP_DEPTH` - 1
+    rings of their interior neighbours in the node graph of A, taken node by
+    node, so every component of a node in the strip is in it.
+    """
+    d = state.space.block_dim
+    interior = state.space.decomposition.interior_nodes
+    csr = state.problem.matrix.csr
+    # each node's place in sorted interior order, -1 on the interface
+    place = np.full(csr.shape[0] // d, -1)
+    place[interior] = np.arange(len(interior))
+    taken = np.zeros(len(interior), dtype=bool)
+    ring = np.unique(state.blocks.coupled // d)
+    taken[ring] = True
+    for _ in range(_STRIP_DEPTH - 1):
+        near = place[np.unique(csr[flat_block_indices(interior[ring], d)].indices // d)]
+        ring = near[near >= 0]
+        ring = ring[~taken[ring]]
+        taken[ring] = True
+    return flat_block_indices(np.flatnonzero(taken), d)
+
+
+def _probe_solves(state: SolverState) -> tuple:
+    """The probe's (solve, kept rows, read rows) for `_interior_solves`: the strip's or A_II's.
+
+    S_W = A_GG - A_GW A_WW^-1 A_WG, W the `interior_strip`, differs from S
+    only by the interior beyond W, and the probe reads S near the diagonal,
+    where the interior near the interface sets it.  S_W is taken when it is
+    cheap, when `_STRIP_DEPTH` |coupled| <= `_STRIP_SHARE` |interior|, a
+    bound on the strip that needs no slicing; then A_WW is sliced and
+    factored here.  Otherwise the probe solves with the interior factor, as
+    the coarse space always does, since deflation needs S Z exactly.
+
+    With a seeded random right-hand side and tol 1e-10, the strip took CG
+    from 21 to 12 iterations at 257^2 / 4x4 boxes (W is 14% of the
+    interior, and the probe build took 17 against 45 ms on a 2-vCPU host
+    with one BLAS thread), 20 -> 12 at 129^2 / 4x4, 22 -> 12 at 513^2 /
+    8x8, 24 -> 20 on 257^2 over 16 Voronoi cells, and 60 -> 55 and 82 -> 59
+    with log-uniform coefficients in [1e-3, 1e3] at 129^2 and 257^2 / 4x4.
+    S_W likely has smaller far-field entries than S, so less stray weight
+    is lumped into the probed pattern.  A depth of 2 took 75 iterations on
+    the heterogeneous 129^2 / 4x4.  The count rule keeps the interior factor
+    on boxes with H/h <= 16 (129^2 and 257^2 / 16x16, 65^2 / 8x8), on 257^2
+    over 256 Voronoi cells, on 3D 25^3 / 4x4x4 and on 257^2 / 32x1 strips,
+    whose solves are unchanged, bit for bit; also on the heterogeneous
+    65^2 / 4x4, whose strip holds half of the interior.  A singular A_WW,
+    possible only for indefinite A, ends CG with a typed breakdown.
+    """
+    b = state.blocks
+    # with no coupled entry A_GI is 0 and there is no strip to factor
+    if not 0 < _STRIP_DEPTH * len(b.coupled) <= _STRIP_SHARE * len(b.interior_flat):
+        return state.interior.solve, b.coupled, None
+    strip = interior_strip(state)
+    w = b.interior_flat[strip]
+    try:
+        lu = _splu(state.problem.matrix.csr[np.ix_(w, w)].tocsc())
+    except RuntimeError as err:
+        raise _cg_breakdown(0, f"the strip block A_WW of the probe is singular ({err}): "
+                               "the matrix is not positive definite", [], None) from err
+    return lu.solve, np.searchsorted(strip, b.coupled), strip
+
+
 def probe_interface_operator(state: SolverState) -> sp.csr_matrix:
-    """S's colour sums on the probe pattern, in interface-node values (Chan & Mathew 1992).
+    """S_W's colour sums on the probe pattern, in interface-node values (Chan & Mathew 1992).
 
     The interface nodes are coloured so that no row of the pattern holds two
-    nodes of one colour.  S applied to the indicator of one colour and
+    nodes of one colour.  S_W applied to the indicator of one colour and
     component then gives, in every row, the entry of the one pattern column
-    of that colour, plus the entries of S off the pattern in that row and
-    colour.  One interior right-hand side per colour and component, put
-    through SuperLU in blocks (`_interior_solves`): on box partitions 9
-    colours at k = 2 and 13 at k = 3.
+    of that colour, plus the entries of S_W off the pattern in that row and
+    colour.  S_W is the Schur complement of the `interior_strip` W when that
+    strip is small, and S itself otherwise (see `_probe_solves`).  One
+    right-hand side per colour and component, put through SuperLU in blocks
+    (`_interior_solves`): on box partitions 9 colours at k = 2 and 13 at
+    k = 3.
     """
     d = state.space.block_dim
     b = state.blocks
@@ -551,7 +635,7 @@ def probe_interface_operator(state: SolverState) -> sp.csr_matrix:
     pattern = pattern.tocoo()
     n_flat = len(colours) * d
     v = _indicator(colours, d, colours.max() + 1)
-    x = _interior_solves(state, b.ig @ v)
+    x = _interior_solves(b.ig @ v, *_probe_solves(state))
     probes = (b.gg @ v).toarray() - b.gi[:, b.coupled] @ x
     # d x d blocks: row component l, column component k
     l, k = (a.ravel() for a in np.meshgrid(np.arange(d), np.arange(d), indexing="ij"))
@@ -582,7 +666,11 @@ def dominant_symmetric_part(m: sp.spmatrix) -> sp.csr_matrix:
 
 
 def build_preconditioner(state: SolverState):
-    """Probe S, make the probe SPD, factor it once; returns r -> M^-1 r."""
+    """Probe S (S_W on large subdomains), make the probe SPD, factor it once; returns r -> M^-1 r.
+
+    The strip factor of `_probe_solves` is built here, so only when the
+    coarse solve leaves work, and it is interface-phase work.
+    """
     return _splu(dominant_symmetric_part(probe_interface_operator(state)).tocsc()).solve
 
 
