@@ -100,7 +100,6 @@ def cmd_solve(args) -> int:
     cfg = SolveConfig(
         tol=args.tol,
         max_iters=args.max_iters,
-        krylov=args.krylov,
         compare_direct=args.compare_direct,
     )
     try:
@@ -206,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--rhs-delta", type=int, default=None)
     slv.add_argument("--tol", type=float, default=1e-10)
     slv.add_argument("--max-iters", type=int, default=None)
-    slv.add_argument("--krylov", choices=["cg", "gmres"], default="cg")
     slv.add_argument("--compare-direct", action="store_true")
     slv.add_argument("--out", default=None, help="write the solution vector to this file")
     slv.set_defaults(func=cmd_solve)

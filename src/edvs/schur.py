@@ -95,11 +95,8 @@ def _pinv_factors(B: np.ndarray, tol: float = RANK_TOL):
 
 
 def pseudo_inverse_matrix(B: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
-    """Explicit pseudo-inverse matrix (rank-revealing SVD)."""
-    B = _check_square(B)
-    u, s, vt = _pinv_factors(B, tol)
-    if len(s) == 0:
-        return np.zeros_like(B.T)
+    """Explicit pseudo-inverse matrix (rank-revealing SVD); at rank 0, a sum of no terms: 0."""
+    u, s, vt = _pinv_factors(_check_square(B), tol)
     return (vt.T / s) @ u.T
 
 
@@ -118,8 +115,13 @@ def pseudo_inverse_apply(
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (B.shape[0],):
         raise ValueError(f"rhs length {w.shape} does not match matrix size {B.shape[0]}")
-    u, s, vt = _pinv_factors(B, tol)
-    v = vt.T @ ((u.T @ w) / s) if len(s) else np.zeros(B.shape[1])
+    return _pinv_apply(B, _pinv_factors(B, tol), w, consistency_tol)
+
+
+def _pinv_apply(B: np.ndarray, factors, w: np.ndarray,
+                consistency_tol: float = CONSISTENCY_TOL) -> np.ndarray:
+    u, s, vt = factors
+    v = vt.T @ ((u.T @ w) / s)
     w_norm = float(np.linalg.norm(w))
     residual = float(np.linalg.norm(B @ v - w))
     if residual > consistency_tol * max(w_norm, 1e-300):
@@ -131,36 +133,37 @@ def pseudo_inverse_apply(
     return v
 
 
-def _validate_split(B: np.ndarray, split: IndexSplit, tol: float) -> None:
-    """Check the containment condition: the null-space complement lies in W(M)+W(N)."""
+def _validate_split(B: np.ndarray, split: IndexSplit, tol: float) -> NullSpaceBasis | None:
+    """Check that the null-space complement lies in W(M)+W(N); returns the null space it took."""
     split.validate_range(B.shape[0])
-    covered = np.zeros(B.shape[0], dtype=bool)
-    covered[split.m_idx] = True
-    covered[split.n_idx] = True
-    if covered.all():
-        return
+    outside = ~np.isin(np.arange(B.shape[0]), split.m_set + split.n_set)
+    if not outside.any():
+        return None
     ns = null_space(B, tol)
-    # complement basis: rows outside M and N must vanish on every complement vector
-    outside = ~covered
-    comp = ns.projector[:, :]  # projector columns span the complement
-    defect = float(np.max(np.abs(comp[outside]))) if outside.any() else 0.0
+    # the projector's columns span the complement: its rows outside M and N must vanish
+    defect = float(np.max(np.abs(ns.projector[outside])))
     if defect > 1e-8:
         raise InvalidSplitError(
             f"indices outside M and N carry null-space-complement mass {defect:.3e}; "
             "the split cannot represent the solution"
         )
+    return ns
+
+
+def _eliminate(B: np.ndarray, split: IndexSplit, tol: float):
+    """pinv(B_MM)'s SVD factors, pinv(B_MM) and the Schur complement on N, from one SVD."""
+    m, n = split.m_idx, split.n_idx
+    b_mm = B[np.ix_(m, m)]
+    u, s, vt = f_mm = _pinv_factors(b_mm, tol)
+    p_mm = (vt.T / s) @ u.T
+    return f_mm, p_mm, B[np.ix_(n, n)] - B[np.ix_(n, m)] @ (p_mm @ B[np.ix_(m, n)])
 
 
 def schur_complement(B: np.ndarray, split: IndexSplit, tol: float = RANK_TOL) -> np.ndarray:
     """Generalized Schur complement on N: B_NN - B_NM pinv(B_MM) B_MN."""
     B = _check_square(B)
     _validate_split(B, split, tol)
-    m, n = split.m_idx, split.n_idx
-    b_mm = B[np.ix_(m, m)]
-    b_mn = B[np.ix_(m, n)]
-    b_nm = B[np.ix_(n, m)]
-    b_nn = B[np.ix_(n, n)]
-    return b_nn - b_nm @ (pseudo_inverse_matrix(b_mm, tol) @ b_mn)
+    return _eliminate(B, split, tol)[2]
 
 
 def solve_via_schur(
@@ -177,22 +180,20 @@ def solve_via_schur(
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (B.shape[0],):
         raise ValueError(f"rhs length {w.shape} does not match matrix size {B.shape[0]}")
-    _validate_split(B, split, tol)
+    ns = _validate_split(B, split, tol) or null_space(B, tol)
     m, n = split.m_idx, split.n_idx
     b_mm = B[np.ix_(m, m)]
-    b_mn = B[np.ix_(m, n)]
-    b_nm = B[np.ix_(n, m)]
-    sigma = schur_complement(B, split, tol)
+    f_mm, _, sigma = _eliminate(B, split, tol)
     w_m, w_n = w[m], w[n]
 
-    rhs_n = w_n - b_nm @ pseudo_inverse_apply(b_mm, w_m, tol)
+    rhs_n = w_n - B[np.ix_(n, m)] @ _pinv_apply(b_mm, f_mm, w_m)
     v_n = pseudo_inverse_apply(sigma, rhs_n, tol)
-    v_m = pseudo_inverse_apply(b_mm, w_m - b_mn @ v_n, tol)
+    v_m = _pinv_apply(b_mm, f_mm, w_m - B[np.ix_(m, n)] @ v_n)
 
     v = np.zeros(B.shape[0])
     v[m] = v_m
     v[n] = v_n
-    v = null_space(B, tol).projector @ v
+    v = ns.projector @ v
     residual = float(np.linalg.norm(B @ v - w))
     if residual > CONSISTENCY_TOL * max(float(np.linalg.norm(w)), 1e-300):
         raise InconsistentSystemError(
@@ -228,11 +229,10 @@ def block_pseudo_inverse(B: np.ndarray, split: IndexSplit, tol: float = RANK_TOL
     m, n = split.m_idx, split.n_idx
     b_mn = B[np.ix_(m, n)]
     b_nm = B[np.ix_(n, m)]
-    p_mm = pseudo_inverse_matrix(B[np.ix_(m, m)], tol)
-    sigma = schur_complement(B, split, tol)
-    _, s_sigma, _ = _pinv_factors(sigma, tol)
-    p_sigma = pseudo_inverse_matrix(sigma, tol)
+    _, p_mm, sigma = _eliminate(B, split, tol)
+    u, s, vt = _pinv_factors(sigma, tol)
+    p_sigma = (vt.T / s) @ u.T
     mn_blk = -p_mm @ b_mn @ p_sigma
     nm_blk = -p_sigma @ b_nm @ p_mm
     mm_blk = p_mm + p_mm @ b_mn @ p_sigma @ b_nm @ p_mm
-    return BlockInverse(mm=mm_blk, mn=mn_blk, nm=nm_blk, nn=p_sigma, sigma_rank=len(s_sigma))
+    return BlockInverse(mm=mm_blk, mn=mn_blk, nm=nm_blk, nn=p_sigma, sigma_rank=len(s))

@@ -1,8 +1,8 @@
 """End-to-end solve: block-diagonal interior factorization, projected interface Krylov.
 
 Pipeline: inject the right-hand side, factor the interior block A_II (exactly
-block-diagonal by subdomain under locality) with one sparse LU, run a
-conjugate-gradient (or restarted GMRES) iteration on the interface, back-
+block-diagonal by subdomain under locality) with one sparse LU, run a Krylov
+iteration on the interface (CG or GMRES, chosen from the matrix), back-
 substitute the interior values, and certify the retracted solution against
 the original system.  The 2x2 interior/interface slicing lives here:
 `factor_interior` slices A_II and keeps only its factor, and
@@ -40,14 +40,15 @@ E, the strip factor and M are built only when needed (M and the strip only
 when the coarse solve leaves work) and are interface-operator work, timed in
 `interface_ms`.  The iteration count is the number of Krylov steps after the
 coarse solve, 0 when Z spans the interface; the stopping test stays on the
-true residual.  GMRES is neither deflated nor preconditioned.
+true residual.  GMRES, on a nonsymmetric or indefinite problem, is neither
+deflated nor preconditioned.
 """
 from __future__ import annotations
 
 import numbers
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -64,12 +65,7 @@ from .derived import (
     retract,
     retract_interface,
 )
-from .exceptions import (
-    ConfigError,
-    ConvergenceError,
-    EdvsError,
-    SingularInteriorError,
-)
+from .exceptions import ConfigError, ConvergenceError, EdvsError, SingularInteriorError
 from .ingest import DecompositionMap, OriginalMatrix, ProblemInstance, require_locality
 
 _PHASES = ("setup", "factor", "interface", "back_substitute", "verify")
@@ -81,7 +77,6 @@ class SolveConfig:
 
     tol: float = 1e-10
     max_iters: int | None = None
-    krylov: str = "cg"
     compare_direct: bool = False
 
     def __post_init__(self):
@@ -92,8 +87,6 @@ class SolveConfig:
         if self.max_iters is not None and (isinstance(self.max_iters, bool) or not (
                 isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1)):
             raise ConfigError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if self.krylov not in ("cg", "gmres"):
-            raise ConfigError(f"krylov must be 'cg' or 'gmres', got {self.krylov!r}")
         if not isinstance(self.compare_direct, bool):
             raise ConfigError(f"compare_direct must be a bool, got {self.compare_direct!r}")
 
@@ -242,6 +235,7 @@ class SolverState:
     space: DerivedSpace
     blocks: InterfaceBlocks     # A_IG, A_GI, A_GG in sorted interior / interface order
     interior: InteriorFactorization | None = None
+    krylov: str = "cg"          # the method `solve_interface` chose last: "cg" or "gmres"
 
     @cached_property
     def classes(self) -> InterfaceClasses:
@@ -490,8 +484,8 @@ def build_coarse_space(state: SolverState) -> CoarseSpace:
     try:
         lu = _splu(e)
     except RuntimeError as err:
-        raise _cg_breakdown(0, f"E = Z'SZ is singular ({err}): the interface operator is "
-                               "not positive definite", [], None) from err
+        raise _CGBreakdown(f"cg breakdown at iteration 0: E = Z'SZ is singular ({err}): "
+                           "the interface operator is not positive definite") from err
     return CoarseSpace(z=z, sz_t=sz.T.tocsr(), lu=lu)
 
 
@@ -597,7 +591,7 @@ def _probe_solves(state: SolverState) -> tuple:
     over 256 Voronoi cells, on 3D 25^3 / 4x4x4 and on 257^2 / 32x1 strips,
     whose solves are unchanged, bit for bit; also on the heterogeneous
     65^2 / 4x4, whose strip holds half of the interior.  A singular A_WW,
-    possible only for indefinite A, ends CG with a typed breakdown.
+    possible only for indefinite A, ends CG with a breakdown: GMRES takes over.
     """
     b = state.blocks
     # with no coupled entry A_GI is 0 and there is no strip to factor
@@ -608,8 +602,8 @@ def _probe_solves(state: SolverState) -> tuple:
     try:
         lu = _splu(state.problem.matrix.csr[np.ix_(w, w)].tocsc())
     except RuntimeError as err:
-        raise _cg_breakdown(0, f"the strip block A_WW of the probe is singular ({err}): "
-                               "the matrix is not positive definite", [], None) from err
+        raise _CGBreakdown(f"cg breakdown at iteration 0: the strip block A_WW of the probe "
+                           f"is singular ({err}): the matrix is not positive definite") from err
     return lu.solve, np.searchsorted(strip, b.coupled), strip
 
 
@@ -674,12 +668,8 @@ def build_preconditioner(state: SolverState):
     return _splu(dominant_symmetric_part(probe_interface_operator(state)).tocsc()).solve
 
 
-def _cg_breakdown(k, reason, history, best) -> ConvergenceError:
-    return ConvergenceError(
-        f"cg breakdown at iteration {k}: {reason}; use krylov='gmres'",
-        residual_history=history,
-        best=best,
-    )
+class _CGBreakdown(ConvergenceError):
+    """S or M is not positive definite, or the residual is not finite: GMRES takes over."""
 
 
 def _cg(apply_op, g, build_coarse, build_precond, tol, max_iters):
@@ -710,21 +700,21 @@ def _cg(apply_op, g, build_coarse, build_precond, tol, max_iters):
         y = precond(r)
         ry_new = np.dot(r, y)
         if not ry_new > 0.0:
-            raise _cg_breakdown(k, f"r'M^-1 r = {ry_new:.3e} <= 0: the preconditioner is not "
-                                   "positive definite", history, x)
+            raise _CGBreakdown(f"cg breakdown at iteration {k}: r'M^-1 r = {ry_new:.3e} <= 0: "
+                               "the preconditioner is not positive definite")
         beta = ry_new / ry if k > 1 else 0.0
         p = y + beta * p - coarse.deflate(y)
         ry = ry_new
         q = apply_op(p)
         pq = np.dot(p, q)
         if not pq > 0.0:
-            raise _cg_breakdown(k, f"p'Ap = {pq:.3e} <= 0: the interface operator is not "
-                                   "positive definite", history, x)
+            raise _CGBreakdown(f"cg breakdown at iteration {k}: p'Ap = {pq:.3e} <= 0: "
+                               "the interface operator is not positive definite")
         alpha = ry / pq
         r = r - alpha * q
         r_norm = np.linalg.norm(r)
         if not np.isfinite(r_norm):
-            raise _cg_breakdown(k, f"residual norm is {r_norm}", history, x)
+            raise _CGBreakdown(f"cg breakdown at iteration {k}: residual norm is {r_norm}")
         x = x + alpha * p
         rel = r_norm / g_norm
         history.append(float(rel))
@@ -739,16 +729,23 @@ def _cg(apply_op, g, build_coarse, build_precond, tol, max_iters):
 
 
 def _gmres(apply_op, g, tol, max_iters):
-    """Restarted GMRES (modified Gram-Schmidt, Givens)."""
+    """Restarted GMRES (modified Gram-Schmidt, Givens); breaks down at a non-finite norm."""
     x = np.zeros_like(g)
     g_norm = np.linalg.norm(g)
     if g_norm == 0.0:
         return x, [], 0
     history = []
     total = 0
+
+    def breakdown(reason):
+        return ConvergenceError(f"gmres breakdown at iteration {total + 1}: {reason}",
+                                residual_history=history, best=x)
+
     while total < max_iters:
         r = g - apply_op(x)
         beta = np.linalg.norm(r)
+        if not np.isfinite(beta):
+            raise breakdown(f"non-finite residual norm {beta}")
         if beta / g_norm <= tol:
             return x, history, total
         m = min(_GMRES_RESTART, max_iters - total)
@@ -765,6 +762,8 @@ def _gmres(apply_op, g, tol, max_iters):
                 h[i, j] = np.dot(w, basis[i])
                 w = w - h[i, j] * basis[i]
             h_next = np.linalg.norm(w)
+            if not np.isfinite(h_next):
+                raise breakdown(f"non-finite Arnoldi norm {h_next}")
             h[j + 1, j] = h_next
             for i in range(j):
                 hi = cs[i] * h[i, j] + sn[i] * h[i + 1, j]
@@ -772,13 +771,8 @@ def _gmres(apply_op, g, tol, max_iters):
                 h[i, j] = hi
             denom = np.hypot(h[j, j], h[j + 1, j])
             if denom == 0.0:
-                raise ConvergenceError(
-                    f"gmres breakdown at iteration {total + 1}: the rotated Hessenberg matrix "
-                    "has a zero diagonal entry, so the interface operator is singular on "
-                    "the Krylov space",
-                    residual_history=history,
-                    best=x,
-                )
+                raise breakdown("the rotated Hessenberg matrix has a zero diagonal entry, so "
+                                "the interface operator is singular on the Krylov space")
             cs[j] = h[j, j] / denom
             sn[j] = h[j + 1, j] / denom
             h[j, j] = denom
@@ -819,25 +813,37 @@ def solve_interface(state: SolverState, g_gamma: np.ndarray, cfg: SolveConfig):
     ConvergenceError) is injected once, so it is continuous by construction.
     The Euclidean norm of node values is the weighted norm of their
     injection, so the residual history is the weighted-norm residual
-    relative to the right-hand side.  CG is deflated by the coarse space and
-    preconditioned by the probe, both built here when needed, so
-    `iterations` counts the Krylov steps after the coarse solve.
+    relative to the right-hand side.
+
+    The method is chosen here, from the matrix.  A symmetric matrix runs CG,
+    deflated by the coarse space and preconditioned by the probe, both built
+    here when needed, so `iterations` counts the Krylov steps after the
+    coarse solve.  A nonsymmetric one runs GMRES.  So does a CG breakdown,
+    where S is indefinite or singular: CG's work is dropped, GMRES starts
+    from zero, and the breakdown is the `__context__` of any error GMRES
+    raises.  `state.krylov` names the method, set before it starts.
     """
     ds = state.space
-    if cfg.krylov == "cg" and not state.problem.matrix.symmetric:
-        raise ConfigError("cg requires a symmetric matrix; use krylov='gmres'")
     g_hat = retract_interface(g_gamma, ds)
     max_iters = _max_iters(cfg, ds)
 
     def op(v):
         return _schur(state, v)
 
+    def gmres():
+        state.krylov = "gmres"
+        return _gmres(op, g_hat, cfg.tol, max_iters)
+
     try:
-        if cfg.krylov == "gmres":
-            x, history, iters = _gmres(op, g_hat, cfg.tol, max_iters)
+        if not state.problem.matrix.symmetric:
+            x, history, iters = gmres()
         else:
-            x, history, iters = _cg(op, g_hat, lambda: build_coarse_space(state),
-                                    lambda: build_preconditioner(state), cfg.tol, max_iters)
+            state.krylov = "cg"
+            try:
+                x, history, iters = _cg(op, g_hat, lambda: build_coarse_space(state),
+                                        lambda: build_preconditioner(state), cfg.tol, max_iters)
+            except _CGBreakdown:
+                x, history, iters = gmres()
     except ConvergenceError as e:
         if e.best is not None:
             e.best = inject_interface(e.best, ds)
@@ -912,20 +918,12 @@ def solve_dvs(problem: ProblemInstance, cfg: SolveConfig | None = None):
     cfg = cfg or SolveConfig()
     report = SolveReport()
     report.timings = {f"{p}_ms": 0.0 for p in _PHASES}
-    report.config = {
-        "tol": cfg.tol,
-        "max_iters": cfg.max_iters,
-        "krylov": cfg.krylov,
-        "compare_direct": cfg.compare_direct,
-    }
     t_start = time.perf_counter()
 
     with _phase("setup", report.timings):
-        if cfg.krylov == "cg" and not problem.matrix.symmetric:
-            raise ConfigError("cg requires a symmetric matrix; use krylov='gmres'")
         state = _build_state(problem)
         ds = state.space
-        report.config["max_iters"] = _max_iters(cfg, ds)
+        cfg = replace(cfg, max_iters=_max_iters(cfg, ds))   # resolved once, for the report too
 
     with _phase("factor", report.timings):
         state.interior = factor_interior(problem.matrix, problem.decomposition)
@@ -948,6 +946,8 @@ def solve_dvs(problem: ProblemInstance, cfg: SolveConfig | None = None):
                 interface_failure = e
         else:
             report.converged = True
+    report.config = dict(tol=cfg.tol, max_iters=cfg.max_iters, krylov=state.krylov,
+                         compare_direct=cfg.compare_direct)
 
     with _phase("back_substitute", report.timings):
         u_interior = back_substitute(state, u_gamma)

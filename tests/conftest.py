@@ -83,7 +83,7 @@ def make_problem_voronoi(n, k, seed):
 
 
 @st.composite
-def local_problems(draw):
+def local_problems(draw, skew=False):
     """Random SPD problems on non-box partitions that satisfy locality.
 
     Four subdomains.  Node 0 lies in subdomains 0, 1 and 2 (multiplicity 3).
@@ -92,6 +92,11 @@ def local_problems(draw):
     interior node.  Each node pair sharing a subdomain is coupled with
     probability 1/2 by a random d x d block; the matrix is symmetric and
     strictly diagonally dominant, hence SPD.
+
+    With `skew`, a random skew-symmetric part couples every node pair that
+    shares a subdomain, so locality holds and the matrix is nonsymmetric
+    (nodes 0 and 1 always share one).  Its symmetric part is still SPD, so
+    A, A_II and the interface operator are nonsingular.
     """
     d = draw(st.sampled_from([1, 2]))
     n = draw(st.integers(6, 14))
@@ -111,8 +116,15 @@ def local_problems(draw):
                 dense[q * d:(q + 1) * d, p * d:(p + 1) * d] = block.T
     dense = (dense + dense.T) / 2
     dense += np.diag(np.abs(dense).sum(axis=1) + 1.0)
-    matrix = ingest.OriginalMatrix(csr=sp.csr_matrix(dense), block_dim=d)
     rhs = rng.standard_normal(n * d)
+    if skew:
+        upper = np.zeros_like(dense)
+        for p in range(n):
+            for q in range(p + 1, n):
+                if memberships[p] & memberships[q]:
+                    upper[p * d:(p + 1) * d, q * d:(q + 1) * d] = rng.standard_normal((d, d))
+        dense += upper - upper.T
+    matrix = ingest.OriginalMatrix(csr=sp.csr_matrix(dense), block_dim=d)
     return ingest.ProblemInstance(matrix=matrix, rhs=rhs, decomposition=dm)
 
 

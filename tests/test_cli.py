@@ -176,22 +176,40 @@ class TestSolve:
             "1 1 1.0\n2 1 1.0\n2 2 2.0\n3 2 1.0\n3 3 1.0\n"
         )
         (tmp_path / "s.part").write_text("0 0\n1 0\n1 1\n2 1\n")
+        # the interface operator is 0: CG cannot factor E = Z'SZ and hands over to GMRES
         result = run_cli(
-            ["solve", "--matrix", "s.mtx", "--partition", "s.part", "--rhs-delta", "0",
-             "--krylov", "gmres"],
+            ["solve", "--matrix", "s.mtx", "--partition", "s.part", "--rhs-delta", "0"],
             cwd=tmp_path,
         )
         assert result.returncode == 2
         assert "gmres breakdown" in result.stderr
-        assert json.loads(result.stdout)["converged"] is False
+        report = json.loads(result.stdout)
+        assert report["converged"] is False
+        assert report["config"]["krylov"] == "gmres"
+
+    def test_nonsymmetric_matrix_solves_with_gmres(self, tmp_path):
+        # default flags: the method is chosen from the values
+        result = run_cli(["generate", "poisson2d", "--nx", "9", "--ny", "9", "--boxes", "2x2",
+                          "--out-prefix", "g"], cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        csr = ingest.load_matrix(tmp_path / "g.mtx").csr.tolil()
+        csr[40, 41] = -0.5  # A[41, 40] stays -1
+        scipy.io.mmwrite(tmp_path / "n.mtx", csr.tocsr(), symmetry="general")
+        result = run_cli(["solve", "--matrix", "n.mtx", "--partition", "g.part", "--rhs", "g.rhs",
+                          "--compare-direct"], cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        assert report["config"]["krylov"] == "gmres"
+        assert report["relative_error_vs_direct"] <= 1e-8
 
     @pytest.mark.parametrize("argv", [
         [*SOLVE_1D, "--krylov", "jacobi"],
         [*SOLVE_1D, "--tol", "abc"],
         [*SOLVE_1D, "--no-such-flag"],
         [*SOLVE_1D, "--primal", "none"],
+        [*SOLVE_1D, "--krylov", "gmres"],
         [],
-    ], ids=["bad-krylov", "bad-tol", "unknown-flag", "primal", "bare"])
+    ], ids=["bad-krylov", "bad-tol", "unknown-flag", "primal", "krylov", "bare"])
     def test_usage_error_exit_1(self, generated_1d, argv):
         # exit 2 is reserved for non-convergence, so argparse's usage exit is remapped
         result = run_cli(argv, cwd=generated_1d)
@@ -202,7 +220,8 @@ class TestSolve:
     def test_help_exit_0(self, tmp_path):
         result = run_cli(["solve", "--help"], cwd=tmp_path)
         assert result.returncode == 0
-        assert "--krylov" in result.stdout and "--primal" not in result.stdout
+        assert "--compare-direct" in result.stdout
+        assert "--krylov" not in result.stdout and "--primal" not in result.stdout
 
 
 class TestVerify:

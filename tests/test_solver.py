@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -251,6 +252,19 @@ class TestInterfaceOperator:
         assert np.allclose(out, apply_interface_operator(state_1d5, np.ones(2)), atol=1e-14)
 
 
+def spy_cg_breakdowns(monkeypatch):
+    """The message of every CG breakdown raised from now on, which `solve_interface` hands to GMRES."""
+    messages = []
+
+    class Spy(solver._CGBreakdown):
+        def __init__(self, message):
+            super().__init__(message)
+            messages.append(message)
+
+    monkeypatch.setattr(solver, "_CGBreakdown", Spy)
+    return messages
+
+
 class CountingInterior:
     """An interior factorization that counts the columns it solves for."""
 
@@ -296,7 +310,7 @@ class TestSolveInterface:
         assert iters <= len(state_2d55.space.decomposition.interface_nodes)
         assert history[-1] <= 1e-10
 
-    def test_cg_rejects_nonsymmetric(self, problem_1d5):
+    def test_nonsymmetric_matrix_runs_gmres(self, problem_1d5):
         csr = problem_1d5.matrix.csr.tolil()
         csr[0, 1] = -0.5  # A[1, 0] stays -1
         matrix = OriginalMatrix(csr=csr.tocsr())
@@ -304,14 +318,38 @@ class TestSolveInterface:
         problem = ProblemInstance(matrix=matrix, rhs=problem_1d5.rhs,
                                   decomposition=problem_1d5.decomposition)
         state = setup_solver(problem)
-        with pytest.raises(ConfigError, match="symmetric"):
-            solve_interface(state, np.zeros(2), SolveConfig(krylov="cg"))
+        u_gamma, _, _ = solve_interface(state, interface_rhs(state), SolveConfig())
+        assert state.krylov == "gmres"
+        direct = np.linalg.solve(csr.toarray(), problem.rhs)
+        assert np.allclose(retract_interface(u_gamma, state.space), direct[[2]], atol=1e-12)
 
     def test_gmres_matches_cg_solution(self, state_2d55):
         g = interface_rhs(state_2d55)
-        u_cg, _, _ = solve_interface(state_2d55, g, SolveConfig(krylov="cg"))
-        u_gm, _, _ = solve_interface(state_2d55, g, SolveConfig(krylov="gmres"))
-        assert np.allclose(u_cg, u_gm, atol=1e-8)
+        u_cg, _, _ = solve_interface(state_2d55, g, SolveConfig())
+        assert state_2d55.krylov == "cg"
+        ds = state_2d55.space
+        x, _, _ = solver._gmres(lambda v: solver._schur(state_2d55, v), retract_interface(g, ds),
+                                1e-10, 1000)
+        assert np.allclose(u_cg, inject_interface(x, ds), atol=1e-8)
+
+    def test_gmres_stops_at_first_non_finite_value(self):
+        # an inf in the third apply, the second Arnoldi step's: a typed breakdown there,
+        # within the budget of 2000 iterations
+        a = sp.diags([-np.ones(199), 2.0 * np.ones(200), -np.ones(199)], [-1, 0, 1], format="csr")
+        applies = []
+
+        def op(v):
+            applies.append(1)
+            out = a @ v
+            if len(applies) == 3:
+                out[7] = np.inf
+            return out
+
+        g = np.random.default_rng(3).standard_normal(200)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ConvergenceError, match="gmres breakdown at iteration 2: non-finite"):
+            solver._gmres(op, g, 1e-10, 2000)
+        assert len(applies) <= 3
 
 
 def block_problem_2d(n, boxes):
@@ -420,16 +458,18 @@ class TestCoarseSpace:
 
     @pytest.mark.parametrize("krylov", ["cg", "gmres"])
     @settings(max_examples=60, deadline=None)
-    @given(problem=local_problems(), empty=st.booleans())
-    def test_deflated_solve_matches_direct_on_random_partitions(self, krylov, problem, empty):
+    @given(data=st.data(), empty=st.booleans())
+    def test_deflated_solve_matches_direct_on_random_partitions(self, krylov, data, empty):
         # multiplicity 3, a subdomain without interior, block_dim 1 and 2, and
         # with `empty` a subdomain without nodes, which is in no class; GMRES
-        # runs on the same interface-node values, undeflated
+        # runs, undeflated, on the same problems with a skew part added
+        problem = data.draw(local_problems(skew=krylov == "gmres"))
         if empty:
             problem = ProblemInstance(matrix=problem.matrix, rhs=problem.rhs,
                                       decomposition=with_empty_subdomain(problem.decomposition))
         assert_coarse_space_matches_dense_oracle(problem)
-        _, report = solve_dvs(problem, SolveConfig(krylov=krylov, compare_direct=True))
+        _, report = solve_dvs(problem, SolveConfig(compare_direct=True))
+        assert report.config["krylov"] == krylov
         assert report.converged
         assert report.relative_error_vs_direct <= 1e-8
 
@@ -741,10 +781,12 @@ class TestProbe:
             return sp.diags(signs, format="csr")
 
         monkeypatch.setattr(solver, "dominant_symmetric_part", indefinite)
-        with pytest.raises(ConvergenceError, match="breakdown.*preconditioner") as err:
-            solve_dvs(make_problem_2d(17, 17, 4, 4), SolveConfig())
-        assert err.value.phase == "interface"
-        assert err.value.report is not None and not err.value.report.converged
+        breakdowns = spy_cg_breakdowns(monkeypatch)
+        # CG breaks down at r'M^-1 r <= 0, and GMRES, unpreconditioned, solves
+        _, report = solve_dvs(make_problem_2d(17, 17, 4, 4), SolveConfig(compare_direct=True))
+        assert len(breakdowns) == 1 and re.match("cg breakdown.*preconditioner", breakdowns[0])
+        assert report.config["krylov"] == "gmres"
+        assert report.converged and report.relative_error_vs_direct <= 1e-8
 
 
 def singular_strip_problem():
@@ -798,15 +840,16 @@ class TestStrip:
         assert interior.relative_error_vs_direct <= 1e-8
         assert strip.iterations <= interior.iterations
 
-    def test_singular_strip_raises_typed_breakdown(self):
+    def test_singular_strip_raises_typed_breakdown(self, monkeypatch):
         problem = singular_strip_problem()
         state = setup_solver(problem)
         strip = problem.decomposition.interior_nodes[solver.interior_strip(state)]
         assert {10 * 49 + 21, 12 * 49 + 21, 11 * 49 + 22} <= set(strip.tolist())
-        with pytest.raises(ConvergenceError, match="cg breakdown.*A_WW.*singular") as err:
-            solve_dvs(problem, SolveConfig())
-        assert err.value.phase == "interface"
-        assert err.value.report is not None and not err.value.report.converged
+        breakdowns = spy_cg_breakdowns(monkeypatch)
+        _, report = solve_dvs(problem, SolveConfig(compare_direct=True))
+        assert len(breakdowns) == 1 and re.match("cg breakdown.*A_WW.*singular", breakdowns[0])
+        assert report.config["krylov"] == "gmres"
+        assert report.converged and report.relative_error_vs_direct <= 1e-8
 
     def test_classes_computed_once_per_solve(self, monkeypatch):
         # the coarse space and the probe width share one computation, made in the
@@ -907,9 +950,10 @@ class TestSolveDvs:
         assert e.solution is not None and e.solution.shape == (81,)
         assert e.phase == "interface"
 
-    def test_cg_breakdown_on_indefinite_operator(self):
+    def test_cg_breakdown_on_indefinite_operator(self, monkeypatch):
         # SPD interiors, but negative interface diagonals: A is symmetric indefinite
-        # and the interface operator is negative definite, so p'Ap < 0 at once
+        # and the interface operator is negative definite, so p'Ap < 0 at once, and
+        # GMRES takes over
         base = make_problem_2d(9, 9, 2, 2)
         dm = base.decomposition
         csr = base.matrix.csr.tolil()
@@ -919,30 +963,32 @@ class TestSolveDvs:
         problem = ProblemInstance(matrix=matrix, rhs=base.rhs, decomposition=dm)
         eigs = np.linalg.eigvalsh(matrix.csr.toarray())
         assert eigs[0] < 0 < eigs[-1]
-        with pytest.raises(ConvergenceError, match="breakdown") as err:
-            solve_dvs(problem, SolveConfig())
-        e = err.value
-        assert e.phase == "interface"
-        assert "gmres" in str(e)
-        assert len(e.residual_history) <= e.report.config["max_iters"] // 100
-        _, report = solve_dvs(problem, SolveConfig(krylov="gmres", compare_direct=True))
-        assert report.relative_error_vs_direct <= 1e-8
+        breakdowns = spy_cg_breakdowns(monkeypatch)
+        _, report = solve_dvs(problem, SolveConfig(compare_direct=True))
+        assert len(breakdowns) == 1 and breakdowns[0].startswith("cg breakdown at iteration 1: p'Ap")
+        assert report.config["krylov"] == "gmres"
+        assert report.converged and report.relative_error_vs_direct <= 1e-8
 
     def test_gmres_breakdown_on_singular_interface_operator(self):
-        with pytest.raises(ConvergenceError, match="gmres breakdown") as err:
-            solve_dvs(singular_interface_problem(), SolveConfig(krylov="gmres"))
+        # S = 0: CG cannot factor E and hands over to GMRES, which breaks down at once
+        with pytest.raises(ConvergenceError, match="gmres breakdown at iteration 1") as err:
+            solve_dvs(singular_interface_problem(), SolveConfig())
         e = err.value
         assert e.phase == "interface"
+        assert len(e.residual_history) <= 2
         assert e.report is not None and not e.report.converged
+        assert e.report.config["krylov"] == "gmres"
 
     def test_cg_breakdown_on_singular_interface_operator(self):
-        # S = 0, so the coarse matrix Z'SZ = 0 cannot be factored
-        with pytest.raises(ConvergenceError, match="cg breakdown") as err:
-            solve_dvs(singular_interface_problem(), SolveConfig(krylov="cg"))
-        e = err.value
-        assert e.phase == "interface"
-        assert "krylov='gmres'" in str(e)
-        assert e.report is not None and not e.report.converged
+        # S = 0, so the coarse matrix Z'SZ = 0 cannot be factored; that breakdown is
+        # the context of GMRES's
+        state = setup_solver(singular_interface_problem())
+        with pytest.raises(ConvergenceError, match="gmres breakdown") as err:
+            solve_interface(state, interface_rhs(state), SolveConfig())
+        cause = err.value.__context__
+        assert isinstance(cause, solver._CGBreakdown)
+        assert str(cause).startswith("cg breakdown at iteration 0: E = Z'SZ is singular")
+        assert state.krylov == "gmres"
 
     @pytest.mark.parametrize("problem", LADDER)
     def test_convergence_ladder(self, problem):
@@ -961,12 +1007,11 @@ class TestSolveDvs:
         matrix = OriginalMatrix(csr=csr)
         dm = generate_box_partition(5, 1, 2, 1)
         problem = ProblemInstance(matrix=matrix, rhs=np.ones(5), decomposition=dm)
-        u_hat, report = solve_dvs(problem, SolveConfig(krylov="gmres", compare_direct=True))
+        u_hat, report = solve_dvs(problem, SolveConfig(compare_direct=True))
+        assert report.config["krylov"] == "gmres"
         assert report.relative_error_vs_direct <= 1e-9
-        with pytest.raises(ConfigError):
-            solve_dvs(problem, SolveConfig(krylov="cg"))
 
-    def test_general_file_with_nonsymmetric_values_refused_by_cg(self, tmp_path):
+    def test_general_file_with_nonsymmetric_values_solves_with_gmres(self, tmp_path):
         csr = generate_poisson_1d(5).csr.tolil()
         csr[0, 1] = -0.5
         path = tmp_path / "n.mtx"
@@ -976,11 +1021,14 @@ class TestSolveDvs:
         assert not matrix.symmetric
         problem = ProblemInstance(matrix=matrix, rhs=np.ones(5),
                                   decomposition=generate_box_partition(5, 1, 2, 1))
-        with pytest.raises(ConfigError, match="cg requires a symmetric matrix") as err:
-            solve_dvs(problem, SolveConfig())
-        assert err.value.phase == "setup"
-        _, report = solve_dvs(problem, SolveConfig(krylov="gmres", compare_direct=True))
+        _, report = solve_dvs(problem, SolveConfig(compare_direct=True))
+        assert report.config["krylov"] == "gmres"
         assert report.relative_error_vs_direct <= 1e-9
+
+    def test_krylov_is_not_a_setting(self):
+        # the method is chosen from the matrix
+        with pytest.raises(TypeError):
+            SolveConfig(krylov="gmres")
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10, "x", True])
     def test_tol_must_be_finite_and_positive(self, tol):
