@@ -6,6 +6,11 @@ derived node; the weighted inner product scales each block product by 1/m(p),
 which makes injection an isometry.  The continuous subspace (equal values
 across each descendant group) is the image of `inject`; `project_continuous`
 averages onto it and `project_zero_average` is its orthogonal complement.
+
+Because injection is an isometry, `edvs.solver` holds no vector in this
+space: an interface vector is |Gamma| d node values in sorted interface
+order, and the derived space enters once, to certify the injected solution.
+`edvs.dual` builds the dual operator on it.
 """
 from __future__ import annotations
 
@@ -48,12 +53,9 @@ class DerivedSpace:
     origin_flat: np.ndarray          # derived flat -> original flat index
     weight_flat: np.ndarray          # 1/m(p) per derived flat entry
     original_inv_mult_flat: np.ndarray  # 1/m(p) per original flat entry
-    # interface restriction (interface nodes only, in derived order)
+    # the interior/interface split, as derived node positions
     gamma_positions: np.ndarray      # derived indices with m(p) > 1
     interior_positions: np.ndarray   # derived indices with m(p) == 1
-    gamma_origin_flat: np.ndarray    # gamma-restricted flat -> interface-flat index
-    interior_origin_flat: np.ndarray  # interior-restricted flat -> interior-flat index
-    gamma_inv_mult_flat: np.ndarray  # 1/m per interface-flat entry
 
     @property
     def gamma_nodes(self) -> np.ndarray:
@@ -101,11 +103,6 @@ def build_derived_space(dm: DecompositionMap, block_dim: int = 1) -> DerivedSpac
     mult_of = dm.multiplicity[node_of]
     gamma_positions = np.nonzero(mult_of > 1)[0].astype(np.int64)
     interior_positions = np.nonzero(mult_of == 1)[0].astype(np.int64)
-    gamma_rank = np.searchsorted(dm.interface_nodes, node_of[gamma_positions])
-    interior_rank = np.searchsorted(dm.interior_nodes, node_of[interior_positions])
-    gamma_origin_flat = flat_block_indices(gamma_rank, d)
-    interior_origin_flat = flat_block_indices(interior_rank, d)
-    gamma_inv_mult_flat = np.repeat(inv_mult[dm.interface_nodes], d)
 
     return DerivedSpace(
         decomposition=dm,
@@ -118,9 +115,6 @@ def build_derived_space(dm: DecompositionMap, block_dim: int = 1) -> DerivedSpac
         original_inv_mult_flat=original_inv_mult_flat,
         gamma_positions=gamma_positions,
         interior_positions=interior_positions,
-        gamma_origin_flat=gamma_origin_flat,
-        interior_origin_flat=interior_origin_flat,
-        gamma_inv_mult_flat=gamma_inv_mult_flat,
     )
 
 
@@ -209,28 +203,6 @@ def relative_defect(u: np.ndarray, zero_average: np.ndarray, ds: DerivedSpace) -
 def continuity_defect(u: np.ndarray, ds: DerivedSpace) -> float:
     """Relative norm of the zero-average component; 0 for continuous vectors."""
     return relative_defect(u, project_zero_average(u, ds), ds)
-
-
-# ---------------------------------------------------------------------------
-# Interface-restricted variants (arrays over interface derived positions only)
-# ---------------------------------------------------------------------------
-
-def inject_interface(v_hat_gamma: np.ndarray, ds: DerivedSpace) -> np.ndarray:
-    """Copy interface-node values to their descendants; gamma-restricted output."""
-    expected = len(ds.gamma_inv_mult_flat)
-    if v_hat_gamma.shape != (expected,):
-        raise ValueError(f"expected length {expected}, got {v_hat_gamma.shape}")
-    return v_hat_gamma[ds.gamma_origin_flat]
-
-
-def retract_interface(v_gamma: np.ndarray, ds: DerivedSpace) -> np.ndarray:
-    """Average gamma-restricted descendant groups back to interface-node values."""
-    expected = len(ds.gamma_positions) * ds.block_dim
-    if v_gamma.shape != (expected,):
-        raise ValueError(f"expected length {expected}, got {v_gamma.shape}")
-    total = np.bincount(ds.gamma_origin_flat, weights=v_gamma,
-                        minlength=len(ds.gamma_inv_mult_flat))
-    return total * ds.gamma_inv_mult_flat
 
 
 # ---------------------------------------------------------------------------

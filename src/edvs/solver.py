@@ -1,20 +1,20 @@
 """End-to-end solve: block-diagonal interior factorization, projected interface Krylov.
 
-Pipeline: inject the right-hand side, factor the interior block A_II (exactly
-block-diagonal by subdomain under locality) with one sparse LU, run a Krylov
-iteration on the interface (CG or GMRES, chosen from the matrix), back-
-substitute the interior values, and certify the retracted solution against
-the original system.  The 2x2 interior/interface slicing lives here:
-`factor_interior` slices A_II and keeps only its factor, and
+Pipeline: factor the interior block A_II (exactly block-diagonal by
+subdomain under locality) with one sparse LU, condense the right-hand side
+onto the interface, run a Krylov iteration there (CG or GMRES, chosen from
+the matrix), back-substitute the interior values, and certify the injected
+solution against the original system.  The 2x2 interior/interface slicing
+lives here: `factor_interior` slices A_II and keeps only its factor, and
 `interface_blocks` slices the coupling blocks A_IG, A_GI and A_GG.
 
 The continuous interface subspace is the image of injection, and under the
 1/m-weighted inner product injection is an isometry.  So a Krylov method on
 continuous interface vectors is, step for step, the same method on
-interface-node values with the Euclidean inner product: `solve_interface`
-retracts the right-hand side once, iterates on node values with the Schur
-operator A_GG - A_GI A_II^-1 A_IG, and injects the result once.  The exit
-iterate is continuous by construction.
+interface-node values with the Euclidean inner product.  Every interface
+vector of the solve is therefore node values, |Gamma| d entries in sorted
+interface order (the rows `blocks.gamma_flat`), with the Schur operator
+A_GG - A_GI A_II^-1 A_IG; the derived space enters once, at certification.
 
 Conjugate gradients is deflated by a coarse space Z of interface classes
 (Nicolaides 1987; the "DEF" variant of Tang, Nabben, Vuik & Erlangga 2009).
@@ -60,10 +60,9 @@ from .derived import (
     DerivedSpace,
     build_derived_space,
     flat_block_indices,
-    inject_interface,
+    inject,
     relative_defect,
     retract,
-    retract_interface,
 )
 from .exceptions import ConfigError, ConvergenceError, EdvsError, SingularInteriorError
 from .ingest import DecompositionMap, OriginalMatrix, ProblemInstance, require_locality
@@ -259,15 +258,22 @@ def setup_solver(problem: ProblemInstance) -> SolverState:
 
 
 def apply_interface_operator(state: SolverState, v_gamma: np.ndarray) -> np.ndarray:
-    """Apply the interface Schur operator to a continuous interface vector.
+    """Apply the interface Schur operator to a continuous derived vector, read on the interface.
 
-    Retract to interface-node values v, compute A_GG v - A_GI A_II^-1 A_IG v
-    with the one interior factorization, and inject back.  Input that has
-    drifted off the continuous subspace is projected onto it, since the
-    retraction averages each descendant group.
+    `v_gamma` holds the derived entries at `space.gamma_positions`.  Extended
+    by zeros, it is retracted to node values v, which averages each
+    descendant group, so input off the continuous subspace is projected onto
+    it; A_GG v - A_GI A_II^-1 A_IG v is injected and read at the same entries.
     """
-    ds = state.space
-    return inject_interface(_schur(state, retract_interface(v_gamma, ds)), ds)
+    ds, b = state.space, state.blocks
+    gamma = flat_block_indices(ds.gamma_positions, ds.block_dim)
+    if v_gamma.shape != gamma.shape:
+        raise ValueError(f"expected length {len(gamma)}, got {v_gamma.shape}")
+    u = np.zeros(ds.derived_flat_size)
+    u[gamma] = v_gamma
+    u_hat = np.zeros(ds.original_flat_size)
+    u_hat[b.gamma_flat] = _schur(state, retract(u, ds)[b.gamma_flat])
+    return inject(u_hat, ds)[gamma]
 
 
 def _schur(state: SolverState, v_hat: np.ndarray) -> np.ndarray:
@@ -310,11 +316,10 @@ def _indicator(group: np.ndarray, d: int, n_groups: int) -> sp.csr_matrix:
 
 
 def interface_rhs(state: SolverState) -> np.ndarray:
-    """Condensed interface right-hand side as a continuous interface vector."""
+    """The condensed right-hand side g = f_G - A_GI A_II^-1 f_I, in interface-node values."""
     b = state.blocks
     f_hat = state.problem.rhs.astype(np.float64)
-    g_hat = f_hat[b.gamma_flat] - b.gi @ state.interior.solve(f_hat[b.interior_flat])
-    return inject_interface(g_hat, state.space)
+    return f_hat[b.gamma_flat] - b.gi @ state.interior.solve(f_hat[b.interior_flat])
 
 
 @dataclass(frozen=True, eq=False)
@@ -805,15 +810,14 @@ def _max_iters(cfg: SolveConfig, ds: DerivedSpace) -> int:
     return default if cfg.max_iters is None else cfg.max_iters
 
 
-def solve_interface(state: SolverState, g_gamma: np.ndarray, cfg: SolveConfig):
-    """Krylov-solve the continuous interface system; returns (u_gamma, history, iterations).
+def solve_interface(state: SolverState, g: np.ndarray, cfg: SolveConfig):
+    """Krylov-solve S u = g on interface-node values; returns (u, history, iterations).
 
-    The right-hand side is retracted once, the Krylov method runs on
-    interface-node values, and the result (or the `best` iterate of a
-    ConvergenceError) is injected once, so it is continuous by construction.
-    The Euclidean norm of node values is the weighted norm of their
-    injection, so the residual history is the weighted-norm residual
-    relative to the right-hand side.
+    `g`, `u` and the `best` iterate of a ConvergenceError are interface-node
+    values, in sorted interface order.  Their Euclidean norm is the weighted
+    norm of their injection, so the residual history is the weighted-norm
+    residual of the continuous interface system, relative to its right-hand
+    side.
 
     The method is chosen here, from the matrix.  A symmetric matrix runs CG,
     deflated by the coarse space and preconditioned by the probe, both built
@@ -823,78 +827,48 @@ def solve_interface(state: SolverState, g_gamma: np.ndarray, cfg: SolveConfig):
     from zero, and the breakdown is the `__context__` of any error GMRES
     raises.  `state.krylov` names the method, set before it starts.
     """
-    ds = state.space
-    g_hat = retract_interface(g_gamma, ds)
-    max_iters = _max_iters(cfg, ds)
+    max_iters = _max_iters(cfg, state.space)
 
     def op(v):
         return _schur(state, v)
 
     def gmres():
         state.krylov = "gmres"
-        return _gmres(op, g_hat, cfg.tol, max_iters)
+        return _gmres(op, g, cfg.tol, max_iters)
 
+    if not state.problem.matrix.symmetric:
+        return gmres()
+    state.krylov = "cg"
     try:
-        if not state.problem.matrix.symmetric:
-            x, history, iters = gmres()
-        else:
-            state.krylov = "cg"
-            try:
-                x, history, iters = _cg(op, g_hat, lambda: build_coarse_space(state),
-                                        lambda: build_preconditioner(state), cfg.tol, max_iters)
-            except _CGBreakdown:
-                x, history, iters = gmres()
-    except ConvergenceError as e:
-        if e.best is not None:
-            e.best = inject_interface(e.best, ds)
-        raise
-    return inject_interface(x, ds), history, iters
+        return _cg(op, g, lambda: build_coarse_space(state),
+                   lambda: build_preconditioner(state), cfg.tol, max_iters)
+    except _CGBreakdown:
+        return gmres()
 
 
 def back_substitute(state: SolverState, u_gamma: np.ndarray) -> np.ndarray:
-    """Recover interior values with one solve of the interior factorization.
+    """Interior values A_II^-1 (f_I - A_IG u_gamma), one solve of the interior factorization.
 
-    Returns the interior original vector (sorted interior nodes, flat); the
-    matching derived values are identical since interior multiplicities are 1.
+    `u_gamma` is interface-node values; the result is in sorted interior
+    order, the rows `blocks.interior_flat`.
     """
-    ds = state.space
     b = state.blocks
     rhs = state.problem.rhs[b.interior_flat].astype(np.float64)
     if len(b.gamma_flat):
-        rhs = rhs - b.ig @ retract_interface(u_gamma, ds)
+        rhs = rhs - b.ig @ u_gamma
     return state.interior.solve(rhs)
 
 
-def assemble_solution(state: SolverState, u_interior: np.ndarray, u_gamma: np.ndarray) -> np.ndarray:
-    """Combine interior and interface parts into one full derived vector."""
-    ds = state.space
-    d = ds.block_dim
-    u = np.zeros(ds.derived_flat_size)
-    if len(ds.interior_positions):
-        u[flat_block_indices(ds.interior_positions, d)] = u_interior[ds.interior_origin_flat]
-    if len(ds.gamma_positions):
-        u[flat_block_indices(ds.gamma_positions, d)] = u_gamma
-    return u
-
-
 def verify_solution(problem: ProblemInstance, u_hat: np.ndarray, u: np.ndarray,
-                    report: SolveReport, ds: DerivedSpace) -> dict:
-    """Recompute the three certification defects of u and its retraction u_hat for the report."""
+                    report: SolveReport, ds: DerivedSpace) -> None:
+    """Write the three certification defects of u_hat and the derived vector u into `report`."""
     f_hat = problem.rhs
     residual = float(np.linalg.norm(problem.matrix.csr @ u_hat - f_hat))
     f_norm = float(np.linalg.norm(f_hat))
-    rel_residual = residual / f_norm if f_norm > 0 else residual
+    report.final_original_residual = residual / f_norm if f_norm > 0 else residual
     zero_average = u - u_hat[ds.origin_flat]
-    duality = float(np.max(np.abs(zero_average))) if u.size else 0.0
-    continuity = relative_defect(u, zero_average, ds)
-    report.final_original_residual = rel_residual
-    report.duality_defect = duality
-    report.continuity_defect = continuity
-    return {
-        "final_original_residual": rel_residual,
-        "duality_defect": duality,
-        "continuity_defect": continuity,
-    }
+    report.duality_defect = float(np.max(np.abs(zero_average))) if u.size else 0.0
+    report.continuity_defect = relative_defect(u, zero_average, ds)
 
 
 @contextmanager
@@ -912,8 +886,10 @@ def _phase(name: str, timings: dict):
 def solve_dvs(problem: ProblemInstance, cfg: SolveConfig | None = None):
     """Full pipeline; returns (u_hat, report).
 
-    On interface non-convergence the partial solution is still assembled and
-    the raised ConvergenceError carries it as `.solution` with `.report`.
+    On interface non-convergence the partial solution is still assembled, and
+    the interface's ConvergenceError is raised again, in phase "interface",
+    with the interface iterate as `.best`, the solution as `.solution` and
+    `.report`.
     """
     cfg = cfg or SolveConfig()
     report = SolveReport()
@@ -928,34 +904,32 @@ def solve_dvs(problem: ProblemInstance, cfg: SolveConfig | None = None):
     with _phase("factor", report.timings):
         state.interior = factor_interior(problem.matrix, problem.decomposition)
 
-    interface_failure = None
-    u_gamma = np.zeros(len(ds.gamma_positions) * ds.block_dim)
+    failure = None
+    b = state.blocks
+    u_gamma = np.zeros(len(b.gamma_flat))
     with _phase("interface", report.timings):
-        if len(state.blocks.gamma_flat):
-            g_gamma = interface_rhs(state)
+        if len(b.gamma_flat):
             try:
-                u_gamma, history, iters = solve_interface(state, g_gamma, cfg)
-                report.residual_history = history
-                report.iterations = iters
+                u_gamma, report.residual_history, report.iterations = solve_interface(
+                    state, interface_rhs(state), cfg)
                 report.converged = True
             except ConvergenceError as e:
                 report.residual_history = e.residual_history
                 report.iterations = len(e.residual_history)
-                report.converged = False
                 u_gamma = e.best if e.best is not None else u_gamma
-                interface_failure = e
+                failure = e
         else:
             report.converged = True
     report.config = dict(tol=cfg.tol, max_iters=cfg.max_iters, krylov=state.krylov,
                          compare_direct=cfg.compare_direct)
 
     with _phase("back_substitute", report.timings):
-        u_interior = back_substitute(state, u_gamma)
-        u = assemble_solution(state, u_interior, u_gamma)
-        u_hat = retract(u, ds)
+        u_hat = np.empty(ds.original_flat_size)
+        u_hat[b.interior_flat] = back_substitute(state, u_gamma)
+        u_hat[b.gamma_flat] = u_gamma
 
     with _phase("verify", report.timings):
-        verify_solution(problem, u_hat, u, report, ds)
+        verify_solution(problem, u_hat, inject(u_hat, ds), report, ds)
         if report.converged:
             # defense in depth: the interface tolerance must carry to the original system
             report.converged = report.final_original_residual <= max(10 * cfg.tol, 1e-9)
@@ -967,14 +941,9 @@ def solve_dvs(problem: ProblemInstance, cfg: SolveConfig | None = None):
 
     report.timings["total_ms"] = (time.perf_counter() - t_start) * 1e3
 
-    if interface_failure is not None:
-        err = ConvergenceError(
-            str(interface_failure),
-            residual_history=report.residual_history,
-            best=u_gamma,
-            solution=u_hat,
-            report=report,
-        )
-        err.phase = "interface"
-        raise err
+    if failure is not None:
+        # raised again, not rebuilt, so a CG breakdown stays its __context__
+        failure.best, failure.solution, failure.report = u_gamma, u_hat, report
+        failure.phase = "interface"
+        raise failure
     return u_hat, report

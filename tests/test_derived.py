@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 from edvs.derived import (
     build_derived_space,
     continuity_defect,
-    flat_block_indices,
     inject,
-    inject_interface,
     inner_derived,
     inner_original,
     injection_matrix,
@@ -16,11 +14,10 @@ from edvs.derived import (
     project_continuous,
     project_zero_average,
     retract,
-    retract_interface,
     retraction_matrix,
 )
 from conftest import incidence_rows
-from edvs.ingest import DecompositionMap, generate_box_partition
+from edvs.ingest import DecompositionMap
 
 DM_1D5 = DecompositionMap.from_memberships([(0,), (0,), (0, 1), (1,), (1,)])
 
@@ -140,23 +137,6 @@ class TestIsDual:
 
     def test_zero_pair(self, ds_1d5):
         assert is_dual(np.zeros(5), np.zeros(6), ds_1d5)
-
-
-class TestInterfaceRestriction:
-    def test_roundtrip(self, ds_1d5):
-        v_hat = np.array([7.0])  # one interface node
-        v = inject_interface(v_hat, ds_1d5)
-        assert v.tolist() == [7.0, 7.0]
-        assert retract_interface(v, ds_1d5).tolist() == [7.0]
-
-    def test_matches_full_operators(self, rng):
-        dm = generate_box_partition(5, 5, 2, 2)
-        ds = build_derived_space(dm)
-        u = rng.standard_normal(ds.derived_flat_size)
-        full = project_continuous(u, ds)
-        restricted = np.array(u[ds.gamma_positions])
-        proj = inject_interface(retract_interface(restricted, ds), ds)
-        assert np.allclose(proj, full[ds.gamma_positions], rtol=0, atol=1e-15)
 
 
 class TestDenseReference:
@@ -285,7 +265,3 @@ def test_derived_order_and_group_sums(ds, seed):
     want = np.zeros(ds.original_flat_size)
     np.add.at(want, ds.origin_flat, u)
     assert np.array_equal(retract(u, ds), want * ds.original_inv_mult_flat)
-    v = u[flat_block_indices(ds.gamma_positions, ds.block_dim)]
-    want = np.zeros(len(dm.interface_nodes) * ds.block_dim)
-    np.add.at(want, ds.gamma_origin_flat, v)
-    assert np.array_equal(retract_interface(v, ds), want * ds.gamma_inv_mult_flat)
