@@ -3,8 +3,8 @@
 The original sparse system is lifted into a derived space with one unknown
 per (node, subdomain) incidence.  There the interior operator is exactly
 block-diagonal by subdomain; the interface problem is solved by a
-Krylov iteration on the continuous subspace and the result is certified
-against the original sequential formulation.
+Krylov iteration on the continuous subspace, on interface-node values, and
+the solution is checked by its residual in the original system.
 """
 
 from .derived import (

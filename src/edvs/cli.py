@@ -110,6 +110,10 @@ def cmd_solve(args) -> int:
         if e.solution is not None and args.out:
             ingest.write_vector(e.solution, args.out)
         print(f"error: {e}", file=sys.stderr)
+        cause = e.__context__
+        while isinstance(cause, EdvsError):   # e.g. the CG breakdown GMRES took over from
+            print(f"  after: {cause}", file=sys.stderr)
+            cause = cause.__context__
         return EXIT_NO_CONVERGENCE
     _emit(report.to_dict())
     if args.out:

@@ -7,10 +7,10 @@ which makes injection an isometry.  The continuous subspace (equal values
 across each descendant group) is the image of `inject`; `project_continuous`
 averages onto it and `project_zero_average` is its orthogonal complement.
 
-Because injection is an isometry, `edvs.solver` holds no vector in this
-space: an interface vector is |Gamma| d node values in sorted interface
-order, and the derived space enters once, to certify the injected solution.
-`edvs.dual` builds the dual operator on it.
+Because injection is an isometry, the solve never builds this space: an
+interface vector is |Gamma| d node values in sorted interface order.  Only
+`solver.apply_interface_operator` and `edvs.dual`, which builds the dual
+operator on it, use it.
 """
 from __future__ import annotations
 

@@ -526,7 +526,7 @@ def validate_locality(matrix: OriginalMatrix, dm: DecompositionMap) -> LocalityR
     """Check that every structurally nonzero node pair shares a subdomain.
 
     Locality is what makes the interior operator block-diagonal by subdomain;
-    a failing report blocks the parallel solve path.
+    a failing report blocks `solve_dvs`.
     """
     if matrix.n_nodes != dm.n_nodes:
         raise ValueError(f"matrix has {matrix.n_nodes} nodes, partition {dm.n_nodes}")

@@ -3,8 +3,8 @@
 Pipeline: factor the interior block A_II (exactly block-diagonal by
 subdomain under locality) with one sparse LU, condense the right-hand side
 onto the interface, run a Krylov iteration there (CG or GMRES, chosen from
-the matrix), back-substitute the interior values, and certify the injected
-solution against the original system.  The 2x2 interior/interface slicing
+the matrix), back-substitute the interior values, and check the residual of
+the solution in the original system.  The 2x2 interior/interface slicing
 lives here: `factor_interior` slices A_II and keeps only its factor, and
 `interface_blocks` slices the coupling blocks A_IG, A_GI and A_GG.
 
@@ -14,7 +14,7 @@ continuous interface vectors is, step for step, the same method on
 interface-node values with the Euclidean inner product.  Every interface
 vector of the solve is therefore node values, |Gamma| d entries in sorted
 interface order (the rows `blocks.gamma_flat`), with the Schur operator
-A_GG - A_GI A_II^-1 A_IG; the derived space enters once, at certification.
+A_GG - A_GI A_II^-1 A_IG, and the solve never builds the derived space.
 
 Conjugate gradients is deflated by a coarse space Z of interface classes
 (Nicolaides 1987; the "DEF" variant of Tang, Nabben, Vuik & Erlangga 2009).
@@ -56,14 +56,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.polynomial.legendre import legvander
 
-from .derived import (
-    DerivedSpace,
-    build_derived_space,
-    flat_block_indices,
-    inject,
-    relative_defect,
-    retract,
-)
+from .derived import DerivedSpace, build_derived_space, flat_block_indices, inject, retract
 from .exceptions import ConfigError, ConvergenceError, EdvsError, SingularInteriorError
 from .ingest import DecompositionMap, OriginalMatrix, ProblemInstance, require_locality
 
@@ -97,8 +90,6 @@ class SolveReport:
     iterations: int = 0
     converged: bool = False
     final_original_residual: float = float("nan")
-    duality_defect: float = float("nan")
-    continuity_defect: float = float("nan")
     relative_error_vs_direct: float | None = None
     residual_history: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
@@ -228,26 +219,29 @@ def factor_interior(matrix: OriginalMatrix, dm: DecompositionMap) -> InteriorFac
 
 @dataclass
 class SolverState:
-    """Factored operators and index machinery shared by all interface iterations."""
+    """The problem, its coupling blocks and factors, shared by all interface iterations."""
 
     problem: ProblemInstance
-    space: DerivedSpace
     blocks: InterfaceBlocks     # A_IG, A_GI, A_GG in sorted interior / interface order
     interior: InteriorFactorization | None = None
     krylov: str = "cg"          # the method `solve_interface` chose last: "cg" or "gmres"
 
     @cached_property
+    def space(self) -> DerivedSpace:
+        """The derived space, built on first read; `apply_interface_operator` reads it, no solve."""
+        return build_derived_space(self.problem.decomposition, self.problem.matrix.block_dim)
+
+    @cached_property
     def classes(self) -> InterfaceClasses:
         """The interface classes, computed once, on first use by the coarse space or the probe."""
-        return interface_classes(self.space.decomposition)
+        return interface_classes(self.problem.decomposition)
 
 
 def _build_state(problem: ProblemInstance) -> SolverState:
-    """Validate locality, build the derived space, and slice the coupling blocks."""
+    """Validate locality and slice the coupling blocks."""
     matrix, dm = problem.matrix, problem.decomposition
     require_locality(matrix, dm)
-    ds = build_derived_space(dm, block_dim=matrix.block_dim)
-    return SolverState(problem=problem, space=ds, blocks=interface_blocks(matrix, dm))
+    return SolverState(problem=problem, blocks=interface_blocks(matrix, dm))
 
 
 def setup_solver(problem: ProblemInstance) -> SolverState:
@@ -447,9 +441,9 @@ def build_coarse_space(state: SolverState) -> CoarseSpace:
     split keeps only the entries A_GI reads, so S Z is one sparse product.
     A singular E means S is not definite.
     """
-    ds, b = state.space, state.blocks
-    dm = ds.decomposition
-    d = ds.block_dim
+    b = state.blocks
+    dm = state.problem.decomposition
+    d = state.problem.matrix.block_dim
     classes = state.classes
     sets, of_node, size = classes.sets, classes.of_node, classes.size
     # column j of a class holds P_j at t = (2 rank + 1) / size - 1
@@ -537,8 +531,8 @@ def probe_width(state: SolverState, one_step: sp.csr_matrix) -> int:
 def probe_pattern(state: SolverState) -> sp.csr_matrix:
     """The node-level pattern of A_GG^k, k from `probe_width`, with its diagonal and all entries 1."""
     gg = state.blocks.gg.tocoo()
-    d = state.space.block_dim
-    n = len(state.space.decomposition.interface_nodes)
+    d = state.problem.matrix.block_dim
+    n = len(state.problem.decomposition.interface_nodes)
     one_step = sp.csr_matrix((np.ones(gg.nnz), (gg.row // d, gg.col // d)), shape=(n, n))
     one_step = one_step + sp.identity(n, format="csr")
     reach = one_step
@@ -555,8 +549,8 @@ def interior_strip(state: SolverState) -> np.ndarray:
     rings of their interior neighbours in the node graph of A, taken node by
     node, so every component of a node in the strip is in it.
     """
-    d = state.space.block_dim
-    interior = state.space.decomposition.interior_nodes
+    d = state.problem.matrix.block_dim
+    interior = state.problem.decomposition.interior_nodes
     csr = state.problem.matrix.csr
     # each node's place in sorted interior order, -1 on the interface
     place = np.full(csr.shape[0] // d, -1)
@@ -625,7 +619,7 @@ def probe_interface_operator(state: SolverState) -> sp.csr_matrix:
     (`_interior_solves`): on box partitions 9 colours at k = 2 and 13 at
     k = 3.
     """
-    d = state.space.block_dim
+    d = state.problem.matrix.block_dim
     b = state.blocks
     pattern = probe_pattern(state)
     # all entries are 1, so no sum in the square cancels: two nodes of one
@@ -804,9 +798,9 @@ def _gmres(apply_op, g, tol, max_iters):
     )
 
 
-def _max_iters(cfg: SolveConfig, ds: DerivedSpace) -> int:
+def _max_iters(cfg: SolveConfig, blocks: InterfaceBlocks) -> int:
     """`cfg.max_iters`, or by default 10x the interface dimension, at least 10."""
-    default = max(10 * len(ds.decomposition.interface_nodes) * ds.block_dim, 10)
+    default = max(10 * len(blocks.gamma_flat), 10)
     return default if cfg.max_iters is None else cfg.max_iters
 
 
@@ -827,7 +821,7 @@ def solve_interface(state: SolverState, g: np.ndarray, cfg: SolveConfig):
     from zero, and the breakdown is the `__context__` of any error GMRES
     raises.  `state.krylov` names the method, set before it starts.
     """
-    max_iters = _max_iters(cfg, state.space)
+    max_iters = _max_iters(cfg, state.blocks)
 
     def op(v):
         return _schur(state, v)
@@ -859,16 +853,12 @@ def back_substitute(state: SolverState, u_gamma: np.ndarray) -> np.ndarray:
     return state.interior.solve(rhs)
 
 
-def verify_solution(problem: ProblemInstance, u_hat: np.ndarray, u: np.ndarray,
-                    report: SolveReport, ds: DerivedSpace) -> None:
-    """Write the three certification defects of u_hat and the derived vector u into `report`."""
+def verify_solution(problem: ProblemInstance, u_hat: np.ndarray, report: SolveReport) -> None:
+    """Write ||A u_hat - f|| / ||f|| (the norm itself when f = 0) into `report`."""
     f_hat = problem.rhs
     residual = float(np.linalg.norm(problem.matrix.csr @ u_hat - f_hat))
     f_norm = float(np.linalg.norm(f_hat))
     report.final_original_residual = residual / f_norm if f_norm > 0 else residual
-    zero_average = u - u_hat[ds.origin_flat]
-    report.duality_defect = float(np.max(np.abs(zero_average))) if u.size else 0.0
-    report.continuity_defect = relative_defect(u, zero_average, ds)
 
 
 @contextmanager
@@ -898,8 +888,7 @@ def solve_dvs(problem: ProblemInstance, cfg: SolveConfig | None = None):
 
     with _phase("setup", report.timings):
         state = _build_state(problem)
-        ds = state.space
-        cfg = replace(cfg, max_iters=_max_iters(cfg, ds))   # resolved once, for the report too
+        cfg = replace(cfg, max_iters=_max_iters(cfg, state.blocks))  # once, for the report too
 
     with _phase("factor", report.timings):
         state.interior = factor_interior(problem.matrix, problem.decomposition)
@@ -924,12 +913,12 @@ def solve_dvs(problem: ProblemInstance, cfg: SolveConfig | None = None):
                          compare_direct=cfg.compare_direct)
 
     with _phase("back_substitute", report.timings):
-        u_hat = np.empty(ds.original_flat_size)
+        u_hat = np.empty(problem.rhs.shape)
         u_hat[b.interior_flat] = back_substitute(state, u_gamma)
         u_hat[b.gamma_flat] = u_gamma
 
     with _phase("verify", report.timings):
-        verify_solution(problem, u_hat, inject(u_hat, ds), report, ds)
+        verify_solution(problem, u_hat, report)
         if report.converged:
             # defense in depth: the interface tolerance must carry to the original system
             report.converged = report.final_original_residual <= max(10 * cfg.tol, 1e-9)

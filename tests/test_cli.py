@@ -10,6 +10,7 @@ from edvs import ingest
 
 GOLDEN = Path(__file__).parent / "data" / "golden_report.json"
 SOLVE_1D = ["solve", "--matrix", "p1.mtx", "--partition", "p1.part", "--rhs", "p1.rhs"]
+SOLVE_SINGULAR = ["solve", "--matrix", "s.mtx", "--partition", "s.part", "--rhs-delta", "0"]
 
 
 def key_paths(obj, prefix=""):
@@ -30,6 +31,17 @@ def generated_1d(tmp_path):
         cwd=tmp_path,
     )
     assert result.returncode == 0, result.stderr
+    return tmp_path
+
+
+@pytest.fixture
+def singular_files(tmp_path):
+    """[[1, 1, 0], [1, 2, 1], [0, 1, 1]] with node 1 in both subdomains: S = 2 - 1 - 1 = 0."""
+    (tmp_path / "s.mtx").write_text(
+        "%%MatrixMarket matrix coordinate real symmetric\n3 3 5\n"
+        "1 1 1.0\n2 1 1.0\n2 2 2.0\n3 2 1.0\n3 3 1.0\n"
+    )
+    (tmp_path / "s.part").write_text("0 0\n1 0\n1 1\n2 1\n")
     return tmp_path
 
 
@@ -170,22 +182,22 @@ class TestSolve:
         assert "Traceback" not in result.stderr
         assert result.stdout.strip() == ""
 
-    def test_gmres_breakdown_exit_2_with_report(self, tmp_path):
-        (tmp_path / "s.mtx").write_text(
-            "%%MatrixMarket matrix coordinate real symmetric\n3 3 5\n"
-            "1 1 1.0\n2 1 1.0\n2 2 2.0\n3 2 1.0\n3 3 1.0\n"
-        )
-        (tmp_path / "s.part").write_text("0 0\n1 0\n1 1\n2 1\n")
+    def test_gmres_breakdown_exit_2_with_report(self, singular_files):
         # the interface operator is 0: CG cannot factor E = Z'SZ and hands over to GMRES
-        result = run_cli(
-            ["solve", "--matrix", "s.mtx", "--partition", "s.part", "--rhs-delta", "0"],
-            cwd=tmp_path,
-        )
+        result = run_cli(SOLVE_SINGULAR, cwd=singular_files)
         assert result.returncode == 2
         assert "gmres breakdown" in result.stderr
         report = json.loads(result.stdout)
         assert report["converged"] is False
         assert report["config"]["krylov"] == "gmres"
+
+    def test_breakdown_chain_on_stderr(self, singular_files):
+        # GMRES's breakdown first, then the CG breakdown it took over from, one per line
+        result = run_cli(SOLVE_SINGULAR, cwd=singular_files)
+        assert result.returncode == 2
+        lines = result.stderr.splitlines()
+        assert lines[0].startswith("error: gmres breakdown at iteration 1")
+        assert lines[1].startswith("  after: cg breakdown at iteration 0: E = Z'SZ is singular")
 
     def test_nonsymmetric_matrix_solves_with_gmres(self, tmp_path):
         # default flags: the method is chosen from the values

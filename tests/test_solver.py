@@ -52,7 +52,6 @@ from edvs.solver import (
     setup_solver,
     solve_dvs,
     solve_interface,
-    verify_solution,
 )
 
 
@@ -949,10 +948,6 @@ class TestSolveDvs:
         hist = report.residual_history
         assert all(hist[k + 1] <= 1.1 * hist[k] for k in range(len(hist) - 1))
 
-    def test_constraint_maintained(self):
-        _, report = solve_dvs(make_problem_2d(9, 9, 2, 2), SolveConfig())
-        assert report.continuity_defect <= 1e-12
-
     def test_locality_failure_blocks_solve(self):
         matrix = generate_poisson_1d(5)
         dm = DecompositionMap.from_memberships([(0,), (0,), (1,), (1,), (1,)])
@@ -1010,6 +1005,31 @@ class TestSolveDvs:
         assert isinstance(e.__context__, solver._CGBreakdown)
         assert e.best.shape == (len(problem.decomposition.interface_nodes),)
         assert e.solution.shape == (3,) and e.report is not None
+
+    def test_no_solve_builds_the_derived_space(self, monkeypatch):
+        # interface vectors are node values and verify reads the original residual only
+        calls = []
+        build = solver.build_derived_space
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "build_derived_space", spy)
+        base = make_problem_2d(9, 9, 2, 2)
+        csr = base.matrix.csr.tolil()
+        csr[40, 41] = -0.5
+        nonsymmetric = ProblemInstance(matrix=OriginalMatrix(csr=csr.tocsr()), rhs=base.rhs,
+                                       decomposition=base.decomposition)
+        _, report = solve_dvs(base)
+        assert report.converged and report.config["krylov"] == "cg"
+        _, report = solve_dvs(nonsymmetric)
+        assert report.converged and report.config["krylov"] == "gmres"
+        _, report = solve_dvs(make_problem_1d(7, 1))
+        assert report.converged and report.iterations == 0
+        with pytest.raises(ConvergenceError):
+            solve_dvs(base, SolveConfig(max_iters=1))
+        assert calls == []
 
     def test_cg_breakdown_on_singular_interface_operator(self):
         # S = 0, so the coarse matrix Z'SZ = 0 cannot be factored; that breakdown is
@@ -1094,9 +1114,8 @@ class TestSolveDvs:
         _, report = solve_dvs(problem_1d5, SolveConfig())
         payload = report.to_dict()
         assert sorted(payload.keys()) == sorted([
-            "iterations", "converged", "final_original_residual", "duality_defect",
-            "continuity_defect", "relative_error_vs_direct", "residual_history",
-            "timings", "config",
+            "iterations", "converged", "final_original_residual",
+            "relative_error_vs_direct", "residual_history", "timings", "config",
         ])
         assert sorted(payload["timings"].keys()) == sorted([
             "setup_ms", "factor_ms", "interface_ms", "back_substitute_ms",
@@ -1111,21 +1130,6 @@ class TestVerifySolution:
     def test_converged_defects_small(self, problem_1d5):
         u_hat, report = solve_dvs(problem_1d5, SolveConfig())
         assert report.final_original_residual <= 1e-10
-        assert report.duality_defect <= 1e-10
-        assert report.continuity_defect <= 1e-10
-
-    def test_corrupted_descendant_detected(self, problem_1d5):
-        from edvs.solver import SolveReport
-
-        state = setup_solver(problem_1d5)
-        ds = state.space
-        u = inject(np.array([0.5, 1.0, 1.5, 1.0, 0.5]), ds)
-        u[3] += 1.0  # poison the second copy of node 2
-        u_hat = np.array([0.5, 1.0, 2.0, 1.0, 0.5])  # retraction of the poisoned vector
-        report = SolveReport()
-        verify_solution(problem_1d5, u_hat, u, report, ds)
-        assert report.duality_defect == pytest.approx(0.5, abs=1e-12)
-        assert report.continuity_defect > 0.0
 
     def test_zero_problem(self, problem_1d5):
         problem = ProblemInstance(matrix=problem_1d5.matrix, rhs=np.zeros(5),
@@ -1133,5 +1137,3 @@ class TestVerifySolution:
         u_hat, report = solve_dvs(problem, SolveConfig())
         assert np.all(u_hat == 0.0)
         assert report.final_original_residual == 0.0
-        assert report.duality_defect == 0.0
-        assert report.continuity_defect == 0.0
