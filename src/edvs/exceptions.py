@@ -20,7 +20,7 @@ class PartitionError(EdvsError):
 
 
 class LocalityError(EdvsError):
-    """Matrix couples nodes that share no subdomain; parallel path blocked."""
+    """Matrix couples nodes that share no subdomain; blocks `solve_dvs`."""
 
 
 class ContinuityError(EdvsError):

@@ -42,10 +42,6 @@ class NullSpaceBasis:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    @property
-    def null_projector(self) -> np.ndarray:
-        return np.eye(self.projector.shape[0]) - self.projector
-
 
 @dataclass(frozen=True, eq=False)
 class IndexSplit:
@@ -72,7 +68,7 @@ class IndexSplit:
         return np.array(self.n_set, dtype=np.int64)
 
 
-def null_space(B: np.ndarray, tol: float = RANK_TOL) -> NullSpaceBasis:
+def null_space(B: np.ndarray) -> NullSpaceBasis:
     """Orthonormal basis of the (right) null space by singular value thresholding."""
     B = _check_square(B)
     n = B.shape[0]
@@ -80,32 +76,27 @@ def null_space(B: np.ndarray, tol: float = RANK_TOL) -> NullSpaceBasis:
         return NullSpaceBasis(basis=np.zeros((0, 0)), projector=np.zeros((0, 0)))
     _, s, vt = np.linalg.svd(B)
     smax = s[0] if len(s) else 0.0
-    rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
+    rank = int(np.sum(s > RANK_TOL * smax)) if smax > 0 else 0
     basis = vt[rank:].T
     projector = np.eye(n) - basis @ basis.T
     return NullSpaceBasis(basis=basis, projector=projector)
 
 
-def _pinv_factors(B: np.ndarray, tol: float = RANK_TOL):
+def _pinv_factors(B: np.ndarray):
     """SVD factors of the pseudo-inverse, thresholded like null_space."""
     u, s, vt = np.linalg.svd(B)
     smax = s[0] if len(s) else 0.0
-    rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
+    rank = int(np.sum(s > RANK_TOL * smax)) if smax > 0 else 0
     return u[:, :rank], s[:rank], vt[:rank]
 
 
-def pseudo_inverse_matrix(B: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+def pseudo_inverse_matrix(B: np.ndarray) -> np.ndarray:
     """Explicit pseudo-inverse matrix (rank-revealing SVD); at rank 0, a sum of no terms: 0."""
-    u, s, vt = _pinv_factors(_check_square(B), tol)
+    u, s, vt = _pinv_factors(_check_square(B))
     return (vt.T / s) @ u.T
 
 
-def pseudo_inverse_apply(
-    B: np.ndarray,
-    w: np.ndarray,
-    tol: float = RANK_TOL,
-    consistency_tol: float = CONSISTENCY_TOL,
-) -> np.ndarray:
+def pseudo_inverse_apply(B: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The unique v with B v = w and v orthogonal to the null space of B.
 
     Requires w in the range of B; otherwise raises InconsistentSystemError
@@ -115,16 +106,15 @@ def pseudo_inverse_apply(
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (B.shape[0],):
         raise ValueError(f"rhs length {w.shape} does not match matrix size {B.shape[0]}")
-    return _pinv_apply(B, _pinv_factors(B, tol), w, consistency_tol)
+    return _pinv_apply(B, _pinv_factors(B), w)
 
 
-def _pinv_apply(B: np.ndarray, factors, w: np.ndarray,
-                consistency_tol: float = CONSISTENCY_TOL) -> np.ndarray:
+def _pinv_apply(B: np.ndarray, factors, w: np.ndarray) -> np.ndarray:
     u, s, vt = factors
     v = vt.T @ ((u.T @ w) / s)
     w_norm = float(np.linalg.norm(w))
     residual = float(np.linalg.norm(B @ v - w))
-    if residual > consistency_tol * max(w_norm, 1e-300):
+    if residual > CONSISTENCY_TOL * max(w_norm, 1e-300):
         raise InconsistentSystemError(
             f"rhs not in the operator range: relative residual "
             f"{residual / max(w_norm, 1e-300):.3e}",
@@ -133,13 +123,13 @@ def _pinv_apply(B: np.ndarray, factors, w: np.ndarray,
     return v
 
 
-def _validate_split(B: np.ndarray, split: IndexSplit, tol: float) -> NullSpaceBasis | None:
+def _validate_split(B: np.ndarray, split: IndexSplit) -> NullSpaceBasis | None:
     """Check that the null-space complement lies in W(M)+W(N); returns the null space it took."""
     split.validate_range(B.shape[0])
     outside = ~np.isin(np.arange(B.shape[0]), split.m_set + split.n_set)
     if not outside.any():
         return None
-    ns = null_space(B, tol)
+    ns = null_space(B)
     # the projector's columns span the complement: its rows outside M and N must vanish
     defect = float(np.max(np.abs(ns.projector[outside])))
     if defect > 1e-8:
@@ -150,25 +140,23 @@ def _validate_split(B: np.ndarray, split: IndexSplit, tol: float) -> NullSpaceBa
     return ns
 
 
-def _eliminate(B: np.ndarray, split: IndexSplit, tol: float):
+def _eliminate(B: np.ndarray, split: IndexSplit):
     """pinv(B_MM)'s SVD factors, pinv(B_MM) and the Schur complement on N, from one SVD."""
     m, n = split.m_idx, split.n_idx
     b_mm = B[np.ix_(m, m)]
-    u, s, vt = f_mm = _pinv_factors(b_mm, tol)
+    u, s, vt = f_mm = _pinv_factors(b_mm)
     p_mm = (vt.T / s) @ u.T
     return f_mm, p_mm, B[np.ix_(n, n)] - B[np.ix_(n, m)] @ (p_mm @ B[np.ix_(m, n)])
 
 
-def schur_complement(B: np.ndarray, split: IndexSplit, tol: float = RANK_TOL) -> np.ndarray:
+def schur_complement(B: np.ndarray, split: IndexSplit) -> np.ndarray:
     """Generalized Schur complement on N: B_NN - B_NM pinv(B_MM) B_MN."""
     B = _check_square(B)
-    _validate_split(B, split, tol)
-    return _eliminate(B, split, tol)[2]
+    _validate_split(B, split)
+    return _eliminate(B, split)[2]
 
 
-def solve_via_schur(
-    B: np.ndarray, w: np.ndarray, split: IndexSplit, tol: float = RANK_TOL
-) -> np.ndarray:
+def solve_via_schur(B: np.ndarray, w: np.ndarray, split: IndexSplit) -> np.ndarray:
     """Two-stage pseudo-solve: eliminate the M block, solve the N-block Schur system.
 
     The assembled vector is projected onto the null-space complement at the
@@ -180,14 +168,14 @@ def solve_via_schur(
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (B.shape[0],):
         raise ValueError(f"rhs length {w.shape} does not match matrix size {B.shape[0]}")
-    ns = _validate_split(B, split, tol) or null_space(B, tol)
+    ns = _validate_split(B, split) or null_space(B)
     m, n = split.m_idx, split.n_idx
     b_mm = B[np.ix_(m, m)]
-    f_mm, _, sigma = _eliminate(B, split, tol)
+    f_mm, _, sigma = _eliminate(B, split)
     w_m, w_n = w[m], w[n]
 
     rhs_n = w_n - B[np.ix_(n, m)] @ _pinv_apply(b_mm, f_mm, w_m)
-    v_n = pseudo_inverse_apply(sigma, rhs_n, tol)
+    v_n = pseudo_inverse_apply(sigma, rhs_n)
     v_m = _pinv_apply(b_mm, f_mm, w_m - B[np.ix_(m, n)] @ v_n)
 
     v = np.zeros(B.shape[0])
@@ -222,15 +210,15 @@ class BlockInverse:
         return full
 
 
-def block_pseudo_inverse(B: np.ndarray, split: IndexSplit, tol: float = RANK_TOL) -> BlockInverse:
+def block_pseudo_inverse(B: np.ndarray, split: IndexSplit) -> BlockInverse:
     """Blockwise pseudo-inverse built from pinv(B_MM) and the Schur complement pseudo-inverse."""
     B = _check_square(B)
-    _validate_split(B, split, tol)
+    _validate_split(B, split)
     m, n = split.m_idx, split.n_idx
     b_mn = B[np.ix_(m, n)]
     b_nm = B[np.ix_(n, m)]
-    _, p_mm, sigma = _eliminate(B, split, tol)
-    u, s, vt = _pinv_factors(sigma, tol)
+    _, p_mm, sigma = _eliminate(B, split)
+    u, s, vt = _pinv_factors(sigma)
     p_sigma = (vt.T / s) @ u.T
     mn_blk = -p_mm @ b_mn @ p_sigma
     nm_blk = -p_sigma @ b_nm @ p_mm

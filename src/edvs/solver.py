@@ -60,8 +60,6 @@ from .derived import DerivedSpace, build_derived_space, flat_block_indices, inje
 from .exceptions import ConfigError, ConvergenceError, EdvsError, SingularInteriorError
 from .ingest import DecompositionMap, OriginalMatrix, ProblemInstance, require_locality
 
-_PHASES = ("setup", "factor", "interface", "back_substitute", "verify")
-
 
 @dataclass
 class SolveConfig:
@@ -276,16 +274,15 @@ def _schur(state: SolverState, v_hat: np.ndarray) -> np.ndarray:
     return b.gg @ v_hat - b.gi @ state.interior.solve(b.ig @ v_hat)
 
 
-def _interior_solves(rhs: sp.spmatrix, solve, kept: np.ndarray,
-                     read: np.ndarray | None = None) -> np.ndarray:
-    """`solve` of the rows `read` of `rhs` (all rows if None), at the rows `kept`.
+def _interior_solves(rhs: sp.spmatrix, solve, kept: np.ndarray) -> np.ndarray:
+    """`solve` of the sparse right-hand sides `rhs`, at the rows `kept`.
 
-    `rhs` is a build's sparse n_I x k right-hand sides.  `solve` is the
-    interior factor's, over all interior entries, or the probe's strip
-    factor's, over the strip's entries `read` (see `_probe_solves`); `kept`
-    places the interior entries A_GI reads, `blocks.coupled`, among the rows
-    `solve` returns.  At most `_SOLVE_BLOCK` columns are densified at a
-    time, in Fortran order, and each block is one SuperLU solve.  On a
+    `rhs` is a build's sparse right-hand sides, one row per entry `solve`
+    solves for: all interior entries for the interior factor's solve, the
+    strip's entries for the probe's strip factor (see `_probe_solves`).
+    `kept` places the interior entries A_GI reads, `blocks.coupled`, among
+    the rows `solve` returns.  At most `_SOLVE_BLOCK` columns are densified
+    at a time, in Fortran order, and each block is one SuperLU solve.  On a
     shared 2-vCPU host with one BLAS thread, one 4-column solve took
     0.54-0.58 of the time of four single ones at 129^2 / 16x16 boxes and
     0.41-0.65 at 257^2 / 4x4, over two measurements.  A block solve differs
@@ -294,7 +291,7 @@ def _interior_solves(rhs: sp.spmatrix, solve, kept: np.ndarray,
     with a row per entry solved for: 9-column blocks raised the peak memory
     of a 129^2 / 16x16 solve by 8-10%.
     """
-    rhs = (rhs if read is None else rhs.tocsr()[read]).tocsc()
+    rhs = rhs.tocsc()
     x = np.empty((len(kept), rhs.shape[1]))
     for lo in range(0, rhs.shape[1], _SOLVE_BLOCK):
         block = slice(lo, lo + _SOLVE_BLOCK)
@@ -377,10 +374,10 @@ class InterfaceClasses:
     Classes run in the lexicographic order of their subdomain sets.
     """
 
-    sets: np.ndarray      # class x slot: each class's sorted subdomains, padded with -1
-    of_node: np.ndarray   # the class of each interface node
-    rank: np.ndarray      # each interface node's place in its class, in ascending node order
-    size: np.ndarray      # nodes per class
+    members: sp.csr_matrix  # class x subdomain, ones: each class's row of `dm.incidence`
+    of_node: np.ndarray     # the class of each interface node
+    rank: np.ndarray        # each interface node's place in its class, in ascending node order
+    size: np.ndarray        # nodes per class
 
 
 def interface_classes(dm: DecompositionMap) -> InterfaceClasses:
@@ -402,7 +399,7 @@ def interface_classes(dm: DecompositionMap) -> InterfaceClasses:
     size = np.bincount(of_node)
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order)) - np.repeat(np.cumsum(size) - size, size)
-    return InterfaceClasses(sets=sets[first], of_node=of_node, rank=rank, size=size)
+    return InterfaceClasses(members=member[order[first]], of_node=of_node, rank=rank, size=size)
 
 
 def build_coarse_space(state: SolverState) -> CoarseSpace:
@@ -445,7 +442,7 @@ def build_coarse_space(state: SolverState) -> CoarseSpace:
     dm = state.problem.decomposition
     d = state.problem.matrix.block_dim
     classes = state.classes
-    sets, of_node, size = classes.sets, classes.of_node, classes.size
+    of_node, size = classes.of_node, classes.size
     # column j of a class holds P_j at t = (2 rank + 1) / size - 1
     moments = np.clip(size // _NODES_PER_MOMENT, 1, _MAX_MOMENTS)
     t = (2 * classes.rank + 1) / size[of_node] - 1
@@ -455,28 +452,19 @@ def build_coarse_space(state: SolverState) -> CoarseSpace:
     z = sp.csr_matrix((np.repeat(legvander(t, _MAX_MOMENTS - 1)[node, degree], d),
                        ((node[:, None] * d + k).ravel(), (column[:, None] * d + k).ravel())),
                       shape=(len(of_node) * d, moments.sum() * d))
-    cls, slot = np.nonzero(sets >= 0)
-    touching = sp.csc_matrix((np.ones(len(cls)), (sets[cls, slot], cls)),
-                             shape=(dm.n_subdomains, len(sets)))
-    touching = touching[:, np.repeat(np.arange(len(sets)), moments)]  # subdomain x column
+    # subdomain x column, as bool: in int8 the conflict product would wrap at 256
+    touching = classes.members[np.repeat(np.arange(len(size)), moments)].T.astype(bool).tocsr()
     colours = _greedy_colours(touching.T @ touching)
-    n_colours = colours.max() + 1
-    # A_II^-1 A_IG times each colour's columns of Z summed, where A_GI reads
-    # it, and the home subdomain of each entry read
-    x = _interior_solves(b.ig @ (z @ _indicator(colours, d, n_colours)), state.interior.solve,
-                         b.coupled)
+    # A_II^-1 A_IG times each colour's columns of Z summed, where A_GI reads it
+    x = _interior_solves(b.ig @ (z @ _indicator(colours, d, colours.max() + 1)),
+                         state.interior.solve, b.coupled)
+    # each coupled entry takes, from each colour, the solve of the one column of
+    # that colour that touches its home subdomain
     coupled = b.coupled
-    home = dm.home[dm.interior_nodes[coupled // d]]
-    # near[s, c]: the column of colour c that touches subdomain s, -1 if none
-    near = np.full((dm.n_subdomains, n_colours), -1)
-    touch = touching.tocoo()
-    near[touch.row, colours[touch.col]] = touch.col
-    # owner[i, c]: the column that gets colour c's solve at coupled entry i
-    owner = near[home]
-    entry, colour = np.nonzero(owner >= 0)
-    vals = x[entry[:, None], colour[:, None] * d + k].ravel()
-    rows = np.repeat(coupled[entry], d)
-    cols = (owner[entry, colour][:, None] * d + k).ravel()
+    reach = touching[dm.home[dm.interior_nodes[coupled // d]]].tocoo()  # entry x column
+    vals = x[reach.row[:, None], colours[reach.col][:, None] * d + k].ravel()
+    rows = np.repeat(coupled[reach.row], d)
+    cols = (reach.col[:, None] * d + k).ravel()
     split = sp.csr_matrix((vals, (rows, cols)), shape=(len(b.interior_flat), z.shape[1]))
     sz = b.gg @ z - b.gi @ split
     e = (z.T @ sz).tocsc()
@@ -567,7 +555,9 @@ def interior_strip(state: SolverState) -> np.ndarray:
 
 
 def _probe_solves(state: SolverState) -> tuple:
-    """The probe's (solve, kept rows, read rows) for `_interior_solves`: the strip's or A_II's.
+    """The probe's solve, its rows `kept` for `_interior_solves`, and the rows of A_IG it reads.
+
+    The strip's factor, with A_WG, or the interior factor, with all of A_IG.
 
     S_W = A_GG - A_GW A_WW^-1 A_WG, W the `interior_strip`, differs from S
     only by the interior beyond W, and the probe reads S near the diagonal,
@@ -595,7 +585,7 @@ def _probe_solves(state: SolverState) -> tuple:
     b = state.blocks
     # with no coupled entry A_GI is 0 and there is no strip to factor
     if not 0 < _STRIP_DEPTH * len(b.coupled) <= _STRIP_SHARE * len(b.interior_flat):
-        return state.interior.solve, b.coupled, None
+        return state.interior.solve, b.coupled, b.ig
     strip = interior_strip(state)
     w = b.interior_flat[strip]
     try:
@@ -603,7 +593,7 @@ def _probe_solves(state: SolverState) -> tuple:
     except RuntimeError as err:
         raise _CGBreakdown(f"cg breakdown at iteration 0: the strip block A_WW of the probe "
                            f"is singular ({err}): the matrix is not positive definite") from err
-    return lu.solve, np.searchsorted(strip, b.coupled), strip
+    return lu.solve, np.searchsorted(strip, b.coupled), b.ig[strip]
 
 
 def probe_interface_operator(state: SolverState) -> sp.csr_matrix:
@@ -625,17 +615,13 @@ def probe_interface_operator(state: SolverState) -> sp.csr_matrix:
     # all entries are 1, so no sum in the square cancels: two nodes of one
     # colour are more than 2 k steps apart in A_GG
     colours = _greedy_colours(pattern @ pattern)
-    pattern = pattern.tocoo()
-    n_flat = len(colours) * d
     v = _indicator(colours, d, colours.max() + 1)
-    x = _interior_solves(b.ig @ v, *_probe_solves(state))
-    probes = (b.gg @ v).toarray() - b.gi[:, b.coupled] @ x
-    # d x d blocks: row component l, column component k
-    l, k = (a.ravel() for a in np.meshgrid(np.arange(d), np.arange(d), indexing="ij"))
-    rows = (pattern.row[:, None] * d + l).ravel()
-    cols = (pattern.col[:, None] * d + k).ravel()
-    vals = probes[rows, (colours[pattern.col][:, None] * d + k).ravel()]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n_flat, n_flat))
+    solve, kept, a_ig = _probe_solves(state)
+    probes = (b.gg @ v).toarray() - b.gi[:, b.coupled] @ _interior_solves(a_ig @ v, solve, kept)
+    # d x d blocks; column c reads the probe of its colour, component c % d
+    block = sp.kron(pattern, np.ones((d, d)), format="coo")
+    vals = probes[block.row, colours[block.col // d] * d + block.col % d]
+    return sp.csr_matrix((vals, (block.row, block.col)), shape=block.shape)
 
 
 def dominant_symmetric_part(m: sp.spmatrix) -> sp.csr_matrix:
@@ -847,10 +833,7 @@ def back_substitute(state: SolverState, u_gamma: np.ndarray) -> np.ndarray:
     order, the rows `blocks.interior_flat`.
     """
     b = state.blocks
-    rhs = state.problem.rhs[b.interior_flat].astype(np.float64)
-    if len(b.gamma_flat):
-        rhs = rhs - b.ig @ u_gamma
-    return state.interior.solve(rhs)
+    return state.interior.solve(state.problem.rhs[b.interior_flat] - b.ig @ u_gamma)
 
 
 def verify_solution(problem: ProblemInstance, u_hat: np.ndarray, report: SolveReport) -> None:
@@ -883,7 +866,6 @@ def solve_dvs(problem: ProblemInstance, cfg: SolveConfig | None = None):
     """
     cfg = cfg or SolveConfig()
     report = SolveReport()
-    report.timings = {f"{p}_ms": 0.0 for p in _PHASES}
     t_start = time.perf_counter()
 
     with _phase("setup", report.timings):
@@ -895,20 +877,16 @@ def solve_dvs(problem: ProblemInstance, cfg: SolveConfig | None = None):
 
     failure = None
     b = state.blocks
-    u_gamma = np.zeros(len(b.gamma_flat))
     with _phase("interface", report.timings):
-        if len(b.gamma_flat):
-            try:
-                u_gamma, report.residual_history, report.iterations = solve_interface(
-                    state, interface_rhs(state), cfg)
-                report.converged = True
-            except ConvergenceError as e:
-                report.residual_history = e.residual_history
-                report.iterations = len(e.residual_history)
-                u_gamma = e.best if e.best is not None else u_gamma
-                failure = e
-        else:
+        try:
+            u_gamma, report.residual_history, report.iterations = solve_interface(
+                state, interface_rhs(state), cfg)
             report.converged = True
+        except ConvergenceError as e:
+            report.residual_history = e.residual_history
+            report.iterations = len(e.residual_history)
+            u_gamma = e.best if e.best is not None else np.zeros(len(b.gamma_flat))
+            failure = e
     report.config = dict(tol=cfg.tol, max_iters=cfg.max_iters, krylov=state.krylov,
                          compare_direct=cfg.compare_direct)
 

@@ -46,6 +46,7 @@ from edvs.solver import (
     build_coarse_space,
     dominant_symmetric_part,
     factor_interior,
+    interface_classes,
     interface_rhs,
     probe_interface_operator,
     probe_pattern,
@@ -453,6 +454,41 @@ def seeded_solve(n, boxes, **cfg):
 # probe colours, so both builds end on a partial solve block with one component
 # per node and with two
 VORONOI_29 = make_problem_voronoi(29, 16, seed=2)
+
+
+def assert_classes_match_brute_force(dm):
+    """Each class is the interface nodes of one incidence row, in lexicographic order of rows."""
+    classes = interface_classes(dm)
+    nodes = dm.interface_nodes
+    rows = incidence_rows(dm)
+    sets = sorted({rows[p] for p in nodes})
+    members = classes.members.toarray()
+    assert members.shape == (len(sets), dm.n_subdomains)
+    assert np.array_equal(members[classes.of_node], dm.incidence[nodes].toarray())
+    member_sets = [tuple(np.flatnonzero(row).tolist()) for row in members]
+    assert member_sets == sets
+    assert all(a < b for a, b in zip(member_sets, member_sets[1:]))
+    for c, s in enumerate(sets):
+        in_class = np.flatnonzero([rows[p] == s for p in nodes])
+        assert np.array_equal(np.flatnonzero(classes.of_node == c), in_class)
+        assert np.array_equal(classes.rank[in_class], np.arange(len(in_class)))
+    assert np.array_equal(classes.size, np.bincount(classes.of_node))
+
+
+class TestClasses:
+    @pytest.mark.parametrize("problem", [make_problem_2d(17, 17, 4, 4), VORONOI_29,
+                                         make_problem_3d(9, 2)],
+                             ids=["2d17x4", "voronoi29", "3d9x2"])
+    def test_matches_brute_force(self, problem):
+        assert_classes_match_brute_force(problem.decomposition)
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=local_problems(), empty=st.booleans())
+    def test_matches_brute_force_on_random_partitions(self, problem, empty):
+        # multiplicity 3, a subdomain without interior, and with `empty` a
+        # subdomain without nodes
+        dm = problem.decomposition
+        assert_classes_match_brute_force(with_empty_subdomain(dm) if empty else dm)
 
 
 class TestCoarseSpace:
@@ -941,6 +977,18 @@ class TestSolveDvs:
     def test_degenerate_single_subdomain(self):
         u_hat, report = solve_dvs(make_problem_1d(7, 1), SolveConfig(compare_direct=True))
         assert report.iterations == 0
+        assert report.relative_error_vs_direct <= 1e-12
+
+    def test_no_interface_names_the_method_of_the_matrix(self):
+        # with one subdomain nothing iterates, yet a nonsymmetric matrix is GMRES's
+        base = make_problem_1d(7, 1)
+        csr = base.matrix.csr.tolil()
+        csr[0, 1] = -0.5
+        problem = ProblemInstance(matrix=OriginalMatrix(csr=csr.tocsr()), rhs=base.rhs,
+                                  decomposition=base.decomposition)
+        _, report = solve_dvs(problem, SolveConfig(compare_direct=True))
+        assert report.config["krylov"] == "gmres"
+        assert report.converged and report.iterations == 0
         assert report.relative_error_vs_direct <= 1e-12
 
     def test_monotone_residual_history(self):
