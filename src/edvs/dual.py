@@ -5,7 +5,9 @@ retracting, applying the original matrix, and injecting back.  Splitting the
 matrix by subdomain (each entry assigned to exactly one shared subdomain)
 turns the middle step into one block-diagonal multiply in derived order
 followed by one sum over each descendant group (one `np.bincount`).  The
-derived order is read from the `DerivedSpace`.  The split, `DualOperator.local`,
+derived order is the column-major order of the partition's incidence, and
+each nonzero is placed through the incidence entry of its node and owner,
+looked up in one table of derived positions.  The split, `DualOperator.local`,
 is the operator's one copy of the matrix.  Subdomain a's slice is its
 diagonal block: rows and columns d*start to d*stop, where (start, stop) is
 `space.subdomain_ranges[a]`.  Each block of the 2x2 interior/interface form
@@ -33,34 +35,47 @@ from .ingest import OriginalMatrix
 def _owner_split(matrix: OriginalMatrix, ds: DerivedSpace) -> sp.csr_matrix:
     """The owner split as one block-diagonal matrix in derived order.
 
-    Each nonzero goes to the lowest-index subdomain shared by its node pair,
-    at the derived rows and columns of that subdomain's copies of the pair.
-    Derived order is by subdomain, then node, so the derived position of
-    (p, a) is the rank of the key a*N + p among the sorted keys of the
-    space.  Raises LocalityError naming the first pair that shares none.
+    Each nonzero goes to the lowest-index subdomain shared by its node pair
+    (`DecompositionMap.lowest_shared`), at the derived rows and columns of
+    that subdomain's copies of the pair.  A node's copy in subdomain a is an
+    entry of its incidence row, and one int32 table maps each incidence entry
+    to its derived position: derived order is the column-major order of the
+    incidence.  A nonzero owned by its node's home takes the node's first
+    entry; only one owned by a later subdomain of an interface node steps
+    along the node's short sorted row to it.  Raises LocalityError naming the
+    first pair that shares none.
     """
     d = matrix.block_dim
     dm = ds.decomposition
-    n = dm.n_nodes
+    inc = dm.incidence
     coo = matrix.csr.tocoo()
-    owner_base = dm.lowest_shared(coo.row // d, coo.col // d)
-    if (owner_base < 0).any():
-        k = int(np.argmax(owner_base < 0))
-        raise LocalityError(
-            f"entry ({coo.row[k] // d}, {coo.col[k] // d}) couples nodes with no shared subdomain"
-        )
-    owner_base *= n
-    key = ds.subdomain_of * n + ds.node_of
+    p, q = coo.row // d, coo.col // d
+    owner = dm.lowest_shared(p, q)
+    if (owner < 0).any():
+        k = int(np.argmax(owner < 0))
+        raise LocalityError(f"entry ({p[k]}, {q[k]}) couples nodes with no shared subdomain")
+    # the derived position of each incidence entry, and of each node's home copy
+    position = np.empty(inc.nnz, dtype=np.int32)
+    position[np.argsort(inc.indices, kind="stable")] = np.arange(inc.nnz, dtype=np.int32)
+    home_position = position.take(inc.indptr[:-1])
     size = ds.derived_flat_size
 
-    def derived_flat(flat):
-        pos = np.searchsorted(key, owner_base + flat // d)
+    def derived_flat(flat, node):
+        # through int32 indices, `take` gathers about twice as fast as `[]`
+        pos = home_position.take(node)
+        later = np.flatnonzero(owner != dm.home.take(node))
+        entry = inc.indptr[node[later]]
+        step = np.arange(later.size)
+        while step.size:
+            entry[step] += 1
+            step = step[inc.indices[entry[step]] != owner[later[step]]]
+        pos[later] = position[entry]
         pos *= d
-        pos += flat % d
+        pos += flat - node * d  # the component within the node's block
         return pos
 
-    rows = derived_flat(coo.row)
-    cols = derived_flat(coo.col)
+    rows = derived_flat(coo.row, p)
+    cols = derived_flat(coo.col, q)
     local = sp.coo_matrix((coo.data, (rows, cols)), shape=(size, size)).tocsr()
     local.sort_indices()
     return local

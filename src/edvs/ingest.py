@@ -72,8 +72,8 @@ class DecompositionMap:
         (those with an interface node, or a locality violation) have their
         incidence rows intersected.
         """
-        lowest = self.home[p].astype(np.int64)
-        rest = np.flatnonzero(lowest != self.home[q])
+        lowest = self.home.take(p)
+        rest = np.flatnonzero(lowest != self.home.take(q))
         shared = self.incidence[p[rest]].multiply(self.incidence[q[rest]]).tocsr()
         shared.sort_indices()
         found = np.diff(shared.indptr) > 0

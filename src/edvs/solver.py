@@ -307,10 +307,16 @@ def _indicator(group: np.ndarray, d: int, n_groups: int) -> sp.csr_matrix:
 
 
 def interface_rhs(state: SolverState) -> np.ndarray:
-    """The condensed right-hand side g = f_G - A_GI A_II^-1 f_I, in interface-node values."""
+    """The condensed right-hand side g = f_G - A_GI A_II^-1 f_I, in interface-node values.
+
+    With no coupled entry A_GI is 0, and g = f_G needs no interior solve.
+    """
     b = state.blocks
     f_hat = state.problem.rhs.astype(np.float64)
-    return f_hat[b.gamma_flat] - b.gi @ state.interior.solve(f_hat[b.interior_flat])
+    g = f_hat[b.gamma_flat]
+    if len(b.coupled):
+        g -= b.gi @ state.interior.solve(f_hat[b.interior_flat])
+    return g
 
 
 @dataclass(frozen=True, eq=False)

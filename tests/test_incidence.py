@@ -1,17 +1,19 @@
 """The incidence-matrix paths against brute-force references over frozensets.
 
 The references below are the per-pair and per-entry loops the array code
-replaced; the property tests require exact agreement on random partitions
-(multiplicity up to 6, empty subdomains, block_dim 1 to 3) and random
-patterns that include pairs sharing no subdomain and stored zeros.
+replaced, and the binary-search placement of the owner split; the property
+tests require exact agreement on random partitions (multiplicity up to 6,
+empty subdomains, block_dim 1 to 3) and random patterns that include pairs
+sharing no subdomain and stored zeros.  A 3D box partition with a node of
+multiplicity 8 is one more, explicit, example.
 """
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import incidence_rows
+from conftest import incidence_rows, make_problem_3d
 from edvs import ingest
 from edvs.derived import build_derived_space, flat_block_indices
 from edvs.dual import build_dual_operator
@@ -39,6 +41,11 @@ def partitioned_patterns(draw):
     csr = sp.coo_matrix((vals, (rows, cols)), shape=(n * d, n * d)).tocsr()
     csr.sort_indices()
     return ingest.OriginalMatrix(csr=csr, block_dim=d), memberships, n_subdomains
+
+
+# (matrix, memberships, n_subdomains) of 9^3 over 2x2x2 boxes: node (4, 4, 4) is in all 8
+BOX_3D = make_problem_3d(9, 2)
+MULTIPLICITY_8 = (BOX_3D.matrix, incidence_rows(BOX_3D.decomposition), 8)
 
 
 def reference_locality_violations(matrix, memberships):
@@ -74,6 +81,7 @@ def reference_owners(matrix, memberships):
 
 @settings(max_examples=150, deadline=None)
 @given(case=partitioned_patterns())
+@example(case=MULTIPLICITY_8)
 def test_validate_locality_matches_reference(case):
     matrix, memberships, n_subdomains = case
     dm = ingest.DecompositionMap.from_memberships(memberships, n_subdomains=n_subdomains)
@@ -94,8 +102,35 @@ def test_interior_coupling_matches_reference(case):
     )
 
 
+def reference_owner_split(matrix, memberships, ds):
+    """(local, None) placed by binary search, or (None, the LocalityError text).
+
+    Derived order is by subdomain, then node, so the derived position of
+    (p, a) is the rank of the key a*N + p among the sorted keys of the space.
+    """
+    owners, offender = reference_owners(matrix, memberships)
+    if offender is not None:
+        return None, f"entry ({offender[0]}, {offender[1]}) couples nodes with no shared subdomain"
+    d = matrix.block_dim
+    n = len(memberships)
+    coo = matrix.csr.tocoo()
+    owner = np.array([owners[rc] for rc in zip(coo.row.tolist(), coo.col.tolist())],
+                     dtype=np.int64)
+    key = ds.subdomain_of * n + ds.node_of
+
+    def derived_flat(flat):
+        return np.searchsorted(key, owner * n + flat // d) * d + flat % d
+
+    size = ds.derived_flat_size
+    local = sp.coo_matrix((coo.data, (derived_flat(coo.row), derived_flat(coo.col))),
+                          shape=(size, size)).tocsr()
+    local.sort_indices()
+    return local, None
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=partitioned_patterns())
+@example(case=MULTIPLICITY_8)
 def test_split_owners_match_reference(case):
     matrix, memberships, n_subdomains = case
     dm = ingest.DecompositionMap.from_memberships(memberships, n_subdomains=n_subdomains)
@@ -121,6 +156,26 @@ def test_split_owners_match_reference(case):
     csr = matrix.csr
     for (r, c), v in values.items():
         assert csr[r, c] == v
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=partitioned_patterns())
+@example(case=MULTIPLICITY_8)
+def test_split_is_byte_identical_to_binary_search(case):
+    matrix, memberships, n_subdomains = case
+    dm = ingest.DecompositionMap.from_memberships(memberships, n_subdomains=n_subdomains)
+    ds = build_derived_space(dm, block_dim=matrix.block_dim)
+    expected, message = reference_owner_split(matrix, memberships, ds)
+    if message is not None:
+        with pytest.raises(LocalityError) as info:
+            build_dual_operator(matrix, ds)
+        assert str(info.value) == message
+        return
+    local = build_dual_operator(matrix, ds).local
+    assert local.shape == expected.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(local, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=100, deadline=None)

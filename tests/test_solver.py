@@ -991,6 +991,17 @@ class TestSolveDvs:
         assert report.converged and report.iterations == 0
         assert report.relative_error_vs_direct <= 1e-12
 
+    def test_no_interface_solves_the_interior_once(self, monkeypatch):
+        # A_GI reads no interior entry: only back-substitution solves A_II
+        calls = []
+        solve = solver.InteriorFactorization.solve
+        monkeypatch.setattr(solver.InteriorFactorization, "solve",
+                            lambda self, rhs: calls.append(rhs) or solve(self, rhs))
+        _, report = solve_dvs(make_problem_2d(65, 65, 1, 1), SolveConfig(compare_direct=True))
+        assert len(calls) == 1
+        assert report.iterations == 0
+        assert report.relative_error_vs_direct <= 1e-12
+
     def test_monotone_residual_history(self):
         _, report = solve_dvs(make_problem_2d(9, 9, 2, 2), SolveConfig())
         hist = report.residual_history
