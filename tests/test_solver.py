@@ -420,14 +420,15 @@ def assert_coarse_space_matches_dense_oracle(problem, sigma=None):
         # the class's nodes in ascending order, at the midpoints of s equal cells of [-1, 1]
         size = len(members)
         t = (2 * np.arange(size) + 1) / size - 1
-        for j in range(min(max(size // 12, 1), 4)):
+        for j in range(min(max(size // 12, 1 + (size >= 7)), 4)):
             expected.append(np.zeros(len(gamma)))
             expected[-1][members] = legendre(j, t)
             short.append(size < 24)
     expected = np.kron(np.column_stack(expected), np.eye(d))
     short = np.repeat(short, d)
     assert z.shape == expected.shape
-    # a class under 24 nodes has one column per component, its indicator, exactly
+    # a class under 24 nodes has, per component, its indicator and from 7 nodes on its
+    # P_1, exactly
     assert np.array_equal(z[:, short], expected[:, short])
     assert np.abs(z - expected).max() <= 1e-15
     assert np.linalg.matrix_rank(z) == z.shape[1]
@@ -450,8 +451,8 @@ def seeded_solve(n, boxes, **cfg):
     return solve_dvs(make_problem_2d(n, n, boxes, boxes, rhs=rhs), SolveConfig(**cfg))
 
 
-# 29^2 over 16 Voronoi cells, multiplicity up to 4: 13 class colours and 11
-# probe colours, so both builds end on a partial solve block with one component
+# 29^2 over 16 Voronoi cells, multiplicity up to 4: 11 coarse-column colours and
+# 11 probe colours, so both builds end on a partial solve block with one component
 # per node and with two
 VORONOI_29 = make_problem_voronoi(29, 16, seed=2)
 
@@ -462,12 +463,7 @@ def assert_classes_match_brute_force(dm):
     nodes = dm.interface_nodes
     rows = incidence_rows(dm)
     sets = sorted({rows[p] for p in nodes})
-    members = classes.members.toarray()
-    assert members.shape == (len(sets), dm.n_subdomains)
-    assert np.array_equal(members[classes.of_node], dm.incidence[nodes].toarray())
-    member_sets = [tuple(np.flatnonzero(row).tolist()) for row in members]
-    assert member_sets == sets
-    assert all(a < b for a, b in zip(member_sets, member_sets[1:]))
+    assert len(classes.size) == len(sets)
     for c, s in enumerate(sets):
         in_class = np.flatnonzero([rows[p] == s for p in nodes])
         assert np.array_equal(np.flatnonzero(classes.of_node == c), in_class)
@@ -529,19 +525,22 @@ class TestCoarseSpace:
         assert report.relative_error_vs_direct <= 1e-8
 
     def test_iterations_flat_in_subdomain_count(self):
-        # H/h = 8 in both: 4x4 and 16x16 boxes take 13 and 16 (18 and 22 with one
-        # coarse vector per subdomain; undeflated, unpreconditioned CG took 54 and 190)
+        # H/h = 8 in both: 4x4 and 16x16 boxes take 10 and 10 (13 and 16 with one column
+        # per short class and the probed M, 18 and 22 with one coarse vector per
+        # subdomain; undeflated, unpreconditioned CG took 54 and 190)
         _, coarse = seeded_solve(33, 4)
         _, fine = seeded_solve(129, 16)
         assert fine.iterations <= 1.25 * coarse.iterations
 
-    @pytest.mark.parametrize("shape, n_columns, n_solves", [((129, 16), 705, 8),
-                                                          ((257, 4), 105, 20)],
+    @pytest.mark.parametrize("shape, n_columns, n_solves", [((129, 16), 1185, 8),
+                                                          ((257, 4), 105, 16)],
                              ids=["129x16", "257x4"])
     def test_box_classes_are_edges_and_cross_points(self, shape, n_columns, n_solves):
         # b x b boxes: 2b(b - 1) edges and (b - 1)^2 cross points.  The 7-node edges
-        # of 129^2 / 16x16 have one column each, in 8 colours; the 63-node edges of
-        # 257^2 / 4x4 have four, P_0 .. P_3: 24 * 4 + 9 columns in 20 colours
+        # of 129^2 / 16x16 have two columns each, P_0 and P_1: 480 * 2 + 225 columns;
+        # the 63-node edges of 257^2 / 4x4 have four, P_0 .. P_3: 24 * 4 + 9 columns.
+        # A cross point couples to no interior node under the 5-point stencil, so
+        # only the edge columns take a colour: 4 per degree, 8 and 16 colours
         n, boxes = shape
         state = setup_solver(make_problem_2d(n, n, boxes, boxes))
         state.interior = CountingInterior(state.interior)
@@ -549,14 +548,35 @@ class TestCoarseSpace:
         assert coarse.z.shape[1] == n_columns
         assert state.interior.calls == n_solves
 
+    def test_cross_points_take_no_interior_solve(self, monkeypatch):
+        # under the 5-point stencil a cross point of 129^2 / 16x16 couples to no
+        # interior node: its column's S z is exactly A_GG z, and every interior
+        # right-hand side of the build holds some edge column
+        rhs = []
+        real = solver._interior_solves
+        monkeypatch.setattr(solver, "_interior_solves",
+                            lambda r, solve, kept: rhs.append(r) or real(r, solve, kept))
+        state = setup_solver(make_problem_2d(129, 129, 16, 16))
+        coarse = build_coarse_space(state)
+        classes = state.classes
+        crossing = np.flatnonzero(classes.size[classes.of_node] == 1)
+        assert len(crossing) == 15 * 15
+        columns = np.unique(coarse.z[crossing].indices)
+        assert len(columns) == len(crossing)
+        z = coarse.z[:, columns]
+        assert (state.blocks.ig @ z).count_nonzero() == 0
+        assert np.array_equal(coarse.sz_t[columns].T.toarray(), (state.blocks.gg @ z).toarray())
+        assert len(rhs) == 1 and rhs[0].shape[1] == 8
+        assert np.all(rhs[0].getnnz(axis=0) > 0)
+
     def test_blocked_builds_match_single_column_solves_on_voronoi(self, monkeypatch):
-        # 129^2 over 256 Voronoi cells: 1100 classes in 22 colours, solved in
-        # blocks of 4, 4, 4, 4, 4 and 2 columns
+        # 129^2 over 256 Voronoi cells: 1100 classes, 1374 columns, in 18 colours,
+        # solved in blocks of 4, 4, 4, 4 and 2 columns
         state = setup_solver(make_problem_voronoi(129, 256, seed=1))
         state.interior = CountingInterior(state.interior)
         coarse = build_coarse_space(state)
-        assert coarse.z.shape[1] == 1100
-        assert state.interior.calls == 22
+        assert coarse.z.shape[1] == 1374
+        assert state.interior.calls == 18
         probe = probe_interface_operator(state)
         monkeypatch.setattr(solver, "_SOLVE_BLOCK", 1)
         single = build_coarse_space(state)
@@ -619,10 +639,11 @@ def assert_rows_hold_distinct_colours(pattern, colours):
 
 
 def assert_colourings_match_reference(problem):
-    """The coarse space colours interface classes, the probe colours interface nodes.
+    """Greedy colours of interface classes and of interface nodes.
 
-    Classes of one colour share no subdomain; probe nodes of one colour share no row
-    of the probe pattern.
+    Classes of one colour share no subdomain (the coarse space colours its columns
+    by the subdomains they reach, which lie in their class's set); probe nodes of
+    one colour share no row of the probe pattern.
     """
     state = setup_solver(problem)
     for pattern in (class_incidence(problem.decomposition), probe_pattern(state)):
@@ -766,11 +787,12 @@ class TestProbe:
         assert_probe_matches_dense_oracle(problem)
 
     @pytest.mark.parametrize("n, boxes, width, interior_calls, iterations", [
-        (129, 16, 2, 9, (16, 16)), (257, 4, 3, 0, (1, 13)),
+        (129, 16, 2, 9, (10, 10)), (257, 4, 3, 0, (1, 13)),
     ], ids=["129x16", "257x4"])
     def test_width_follows_the_classes(self, n, boxes, width, interior_calls, iterations):
         # the 7-node edges of 129^2 / 16x16 keep A_GG^2 and its 9 colours, solved with
-        # the interior factor, since 3 |coupled| exceeds the interior; the 63-node edges
+        # the interior factor, since 3 |coupled| exceeds the interior (the solve itself
+        # takes the lumped M there, and 10 iterations); the 63-node edges
         # of 257^2 / 4x4 get A_GG^3, whose 13 colours are solved on the strip, as
         # 3 |coupled| is 14% of the interior (25 -> 21 iterations with A_GG^3 on the
         # interior factor, 12 on the strip)
@@ -796,7 +818,8 @@ class TestProbe:
         assert state.interior.calls == 31
 
     def test_halves_iterations(self, monkeypatch):
-        # 129^2 / 16x16 boxes, the many-small shape: 16 iterations, 30 without the probe
+        # 129^2 / 16x16 boxes, the many-small shape: 10 iterations with the lumped M,
+        # 19 with none
         _, probed = seeded_solve(129, 16)
         assert probed.iterations <= 25
         # M = I leaves deflated CG unpreconditioned
@@ -841,7 +864,79 @@ class TestProbe:
         _, report = solve_dvs(make_problem_2d(17, 17, 4, 4), SolveConfig(compare_direct=True))
         assert len(breakdowns) == 1 and re.match("cg breakdown.*preconditioner", breakdowns[0])
         assert report.config["krylov"] == "gmres"
+        assert report.config["preconditioner"] is None  # GMRES runs without the M CG built
         assert report.converged and report.relative_error_vs_direct <= 1e-8
+
+
+def spy_preconditioners(monkeypatch):
+    """Each M that `build_preconditioner` factors from now on."""
+    built = []
+    real = solver.dominant_symmetric_part
+    monkeypatch.setattr(solver, "dominant_symmetric_part", lambda m: built.append(real(m)) or built[-1])
+    return built
+
+
+class TestPreconditioner:
+    def test_lumped_on_small_subdomains_matches_dense_formula(self, monkeypatch):
+        # 17^2 / 4x4 boxes, off the strip with equal couplings: M is the dominant
+        # symmetric part of A_GG - A_GI diag(A_II)^-1 A_IG, built with no interior solve
+        problem = make_problem_2d(17, 17, 4, 4)
+        state = setup_solver(problem)
+        state.interior = CountingInterior(state.interior)
+        built = spy_preconditioners(monkeypatch)
+        solver.build_preconditioner(state)
+        assert state.interior.calls == 0
+        assert state.preconditioner == "lumped"
+        dm = problem.decomposition
+        a = problem.matrix.csr.toarray()
+        i, g = dm.interior_nodes, dm.interface_nodes
+        want = a[np.ix_(g, g)] - a[np.ix_(g, i)] @ (a[np.ix_(i, g)] / np.diag(a)[i, None])
+        assert np.abs(solver.lumped_interface_operator(state).toarray() - want).max() <= 1e-12
+        assert len(built) == 1
+        assert np.abs(built[0].toarray()
+                      - dominant_symmetric_part(sp.csr_matrix(want)).toarray()).max() <= 1e-12
+
+    def test_high_contrast_keeps_the_probe(self):
+        # coefficients 1e-3 .. 1e3 (off-diagonal contrast 1e6): the probe of S, with
+        # interior solves, as before
+        problem = heterogeneous_problem_2d(33, 4)
+        state = setup_solver(problem)
+        state.interior = CountingInterior(state.interior)
+        solver.build_preconditioner(state)
+        assert state.preconditioner == "probe"
+        assert state.interior.calls > 0
+        _, report = solve_dvs(problem, SolveConfig(compare_direct=True))
+        assert report.config["preconditioner"] == "probe"
+        assert report.converged and report.relative_error_vs_direct <= 1e-8
+
+    def test_zero_coupled_diagonal_keeps_the_probe(self, monkeypatch):
+        # a coupled interior entry with a zero diagonal cannot be lumped: the probe,
+        # and no inf or NaN in M
+        problem = make_problem_2d(17, 17, 4, 4)
+        state = setup_solver(problem)
+        b = state.blocks
+        entry = b.interior_flat[b.coupled[0]]
+        csr = problem.matrix.csr.tolil()
+        csr[entry, entry] = 0.0
+        matrix = OriginalMatrix(csr=csr.tocsr())
+        assert matrix.symmetric
+        state = setup_solver(ProblemInstance(matrix=matrix, rhs=problem.rhs,
+                                             decomposition=problem.decomposition))
+        built = spy_preconditioners(monkeypatch)
+        solver.build_preconditioner(state)
+        assert state.preconditioner == "probe"
+        assert len(built) == 1 and np.all(np.isfinite(built[0].data))
+
+    def test_solve_names_the_preconditioner(self):
+        # the strip on 49^2 / 2x2 boxes, the lumped M on 17^2 / 4x4, and none where
+        # the coarse space solves it or GMRES runs
+        for problem, name in ((make_problem_2d(49, 49, 2, 2), "strip probe"),
+                              (make_problem_2d(17, 17, 4, 4), "lumped"),
+                              (make_problem_1d(5, 2), None)):
+            _, report = solve_dvs(problem, SolveConfig())
+            assert report.converged and report.config["preconditioner"] == name
+        _, report = solve_dvs(make_problem_2d(9, 9, 2, 2, rhs=np.zeros(81)))
+        assert report.config["preconditioner"] is None
 
 
 def singular_strip_problem():
@@ -1181,8 +1276,10 @@ class TestSolveDvs:
             "verify_ms", "total_ms",
         ])
         assert sorted(payload["config"].keys()) == sorted([
-            "tol", "max_iters", "krylov", "compare_direct",
+            "tol", "max_iters", "krylov", "preconditioner", "compare_direct",
         ])
+        # the coarse space spans the one-node interface, so no M is built
+        assert payload["config"]["preconditioner"] is None
 
 
 class TestVerifySolution:
