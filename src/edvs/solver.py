@@ -27,9 +27,9 @@ also its first Legendre moments along the class, up to degree 3 (see
 is nonsingular wherever S is definite.  E is sparse and is factored by the same
 sparse LU as A_II.  The coarse solve Z E^-1 Z' g is the starting iterate, and
 every search direction is made S-orthogonal to Z.  S Z takes one interior
-right-hand side per colour and component, and only the columns whose A_IG z
-reaches an interior block take a colour: on boxes under the 5-point stencil
-the cross points take none.
+right-hand side per colour and component.  A column's colour is its rank
+among the columns whose A_IG z reaches the same interior block, and a column
+that reaches none, such as a 2D cross point, takes none.
 
 CG is also preconditioned by an M ~ S that is symmetrized, with a diagonal
 entry raised wherever its row is not strictly diagonally dominant, so M is
@@ -309,11 +309,10 @@ def _interior_solves(rhs: sp.spmatrix, solve, kept: np.ndarray) -> np.ndarray:
 
 
 def _indicator(group: np.ndarray, d: int, n_groups: int) -> sp.csr_matrix:
-    """Row p d + k holds a 1 in column group[p] d + k, and no entry where group[p] is -1."""
-    grouped = np.repeat(group >= 0, d)
-    return sp.csr_matrix((np.ones(grouped.sum()), flat_block_indices(group, d)[grouped],
-                          np.concatenate(([0], np.cumsum(grouped)))),
-                         shape=(len(grouped), n_groups * d))
+    """Row p d + k holds a 1 in column group[p] d + k: the probe's colour indicators."""
+    rows = len(group) * d
+    return sp.csr_matrix((np.ones(rows), flat_block_indices(group, d), np.arange(rows + 1)),
+                         shape=(rows, n_groups * d))
 
 
 def interface_rhs(state: SolverState) -> np.ndarray:
@@ -354,7 +353,7 @@ class CoarseSpace:
 
 
 def _greedy_colours(conflict: sp.spmatrix) -> np.ndarray:
-    """Greedy first-fit colours such that no two conflicting rows share one.
+    """Greedy first-fit colours, none shared by two conflicting rows: the probe's node colours.
 
     Rows a and b conflict where the symmetric `conflict` has an entry.  In
     index order only the lower-index neighbours of a row have a colour yet,
@@ -456,16 +455,16 @@ def build_coarse_space(state: SolverState) -> CoarseSpace:
     S Z = A_GG Z - A_GI A_II^-1 A_IG Z takes one interior right-hand side
     per colour and component, not one per column, and these go through
     SuperLU in blocks (`_interior_solves`).  A column reaches only the
-    interior blocks in which A_IG z has an entry, and columns of one colour
-    reach no common subdomain: each colour's solve is split by the column
-    that reaches each interior node's home subdomain.  A column that reaches
-    no interior block takes no colour and no solve, and its S z is exactly
-    A_GG z: a 2D cross point under the 5-point stencil, which couples only
-    to its edges, and 3D box edges and vertices under the 7-point one.  So
-    257^2 / 4x4 takes 16 solves instead of the 20 of colouring by class,
-    with the same S Z, and 129^2 / 16x16, with P_1 on its edges, the same 8
-    as before.  The split keeps only the entries A_GI reads, so S Z is one
-    sparse product.  A singular E means S is not definite.
+    interior blocks in which A_IG z has an entry, and A_II is block-diagonal
+    by subdomain, so a column's colour in each subdomain it reaches is its
+    rank among the columns that reach it, and a coupled entry's split reads
+    the first colours.  None can do with fewer colours: the columns reaching
+    one subdomain all need different ones.  A column that reaches no
+    interior block takes no colour and no solve, and its S z is exactly
+    A_GG z: a 2D cross point under the 5-point stencil, and 3D box edges and
+    vertices under the 7-point one.  So 257^2 / 4x4 takes 16 solves and
+    129^2 / 16x16 8.  The split keeps only the entries A_GI reads, so S Z is
+    one sparse product.  A singular E means S is not definite.
     """
     b = state.blocks
     dm = state.problem.decomposition
@@ -483,32 +482,28 @@ def build_coarse_space(state: SolverState) -> CoarseSpace:
     z = sp.csr_matrix((np.repeat(legvander(t, _MAX_MOMENTS - 1)[node, degree], d),
                        ((node[:, None] * d + k).ravel(), (column[:, None] * d + k).ravel())),
                       shape=(len(of_node) * d, n_columns * d))
-    # subdomain x column: the interior blocks that A_IG z of the column reaches, as
-    # bool (in int8 the conflict product would wrap at 256)
-    ig_z = b.ig @ z
+    # each (home subdomain, column) pair where A_IG Z has an entry, in sorted
+    # order, and the column's rank in that subdomain: its colour there
+    hit = (b.ig @ z).tocoo()
     home = dm.home[dm.interior_nodes]
-    hit = ig_z.tocoo()
-    reach = sp.csr_matrix((np.ones(hit.nnz, dtype=bool), (home[hit.row // d], hit.col // d)),
-                          shape=(dm.n_subdomains, n_columns))
-    # only the columns that reach an interior block take a colour and a solve
-    reaching = np.flatnonzero(reach.getnnz(axis=0))
-    colours = np.full(n_columns, -1)
-    colours[reaching] = _greedy_colours(reach[:, reaching].T @ reach[:, reaching])
+    pair, of_entry = np.unique(home[hit.row // d] * n_columns + hit.col // d, return_inverse=True)
+    count = np.bincount(pair // n_columns, minlength=dm.n_subdomains)
+    rank = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
+    n_colours = count.max(initial=0)
     # A_II^-1 times each colour's columns of A_IG Z summed, where A_GI reads it
-    x = _interior_solves(ig_z @ _indicator(colours, d, colours.max() + 1),
+    x = _interior_solves(sp.coo_matrix((hit.data, (hit.row, rank[of_entry] * d + hit.col % d)),
+                                       shape=(hit.shape[0], n_colours * d)),
                          state.interior.solve, b.coupled)
-    # each coupled entry takes, from each colour, the solve of the one column of
-    # that colour that reaches its home subdomain; `pairs` (coupled entry x column)
-    # is in row order, so the split is built as CSR, with no sort
-    coupled = b.coupled
-    pairs = reach[home[coupled // d]]
-    per_entry = np.diff(pairs.indptr)
-    vals = x[np.repeat(np.arange(len(coupled)), per_entry)[:, None],
-             colours[pairs.indices][:, None] * d + k].ravel()
+    # the columns reaching each subdomain, by rank; coupled entry e of subdomain a
+    # takes x[e, :count[a] d] at those columns, row by row, so the split is CSR
+    reaching = np.zeros((dm.n_subdomains, n_colours), dtype=np.int64)
+    reaching[pair // n_columns, rank] = pair % n_columns
+    a = home[b.coupled // d]
+    filled = np.arange(n_colours * d) < count[a, None] * d
     indptr = np.zeros(len(b.interior_flat) + 1, dtype=np.int64)
-    indptr[coupled + 1] = per_entry * d
-    split = sp.csr_matrix((vals, (pairs.indices[:, None] * d + k).ravel(), np.cumsum(indptr)),
-                          shape=(len(b.interior_flat), z.shape[1]))
+    indptr[b.coupled + 1] = count[a] * d
+    split = sp.csr_matrix((x[filled], (reaching[a, :, None] * d + k).reshape(filled.shape)[filled],
+                           np.cumsum(indptr)), shape=(len(b.interior_flat), z.shape[1]))
     sz = b.gg @ z - b.gi @ split
     e = (z.T @ sz).tocsc()
     try:
@@ -531,9 +526,9 @@ _STRIP_SHARE = 0.5
 # the probe reads A_GG^3 when the median interface node lies on a class of this
 # many nodes or more; see `probe_width`
 _LONG_CLASS = 24
-# off the strip, M is the lumped Schur complement when A's nonzero off-diagonal
-# magnitudes lie within this factor of each other; see `build_preconditioner`
-_LUMPED_CONTRAST = 100.0
+# off the strip, M is the lumped Schur complement when A's off-diagonal magnitudes
+# above `_ROUND_OFF` times the largest lie within `_LUMPED_CONTRAST` of each other
+_LUMPED_CONTRAST, _ROUND_OFF = 100.0, 1e-12
 
 
 def probe_width(state: SolverState, one_step: sp.csr_matrix) -> int:
@@ -716,14 +711,15 @@ def lumped_interface_operator(state: SolverState) -> sp.csr_matrix:
 
 
 def _lumping_fits(state: SolverState) -> bool:
-    """A's nonzero off-diagonal magnitudes lie within `_LUMPED_CONTRAST` of each other,
-    and every coupled interior diagonal entry is positive."""
+    """A's off-diagonal magnitudes above `_ROUND_OFF` of the largest lie within
+    `_LUMPED_CONTRAST` of each other, and every coupled interior diagonal entry is positive."""
     csr = state.problem.matrix.csr
     b = state.blocks
     if not np.all(csr.diagonal()[b.interior_flat[b.coupled]] > 0):
         return False
     row = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
-    off = np.abs(csr.data[(csr.indices != row) & (csr.data != 0)])
+    off = np.abs(csr.data[csr.indices != row])
+    off = off[off > _ROUND_OFF * off.max(initial=0.0)]
     return off.max(initial=0.0) <= _LUMPED_CONTRAST * off.min(initial=np.inf)
 
 
@@ -747,8 +743,11 @@ def build_preconditioner(state: SolverState):
     16x16, 23 and 26 on 257^2 over 256 Voronoi cells, 10 and 10 on 3D
     25^3 / 8x8x8 (0.38 against 1.09 s) and 17 and 14 on 33^3 / 4x4x4 (0.41
     against 0.74 s).  Lumping loses where the couplings differ in scale, so
-    it is taken only when A's nonzero off-diagonal magnitudes lie within
-    `_LUMPED_CONTRAST` = 100 of each other.  With log-uniform edge weights
+    it is taken only when A's off-diagonal magnitudes lie within
+    `_LUMPED_CONTRAST` = 100 of each other.  Those below `_ROUND_OFF` = 1e-12
+    of the largest are round-off, not couplings, and are left out: stored
+    entries of 1e-17 between diagonal neighbours would send 2D Poisson to
+    the probe.  With log-uniform edge weights
     in [0.1, 10] (contrast 100) at 65^2 / 8x8 it took 17 iterations against
     the probe's 15, in 26 against 28 ms; in [10^-1.5, 10^1.5] (contrast
     1000) 28 against 21, in 34 against 31 ms; in [1e-3, 1e3] 118 against

@@ -86,10 +86,12 @@ def make_problem_voronoi(n, k, seed):
 def local_problems(draw, skew=False):
     """Random SPD problems on non-box partitions that satisfy locality.
 
-    Four subdomains.  Node 0 lies in subdomains 0, 1 and 2 (multiplicity 3).
-    Every other node has a home subdomain in 0..2 and up to two extra
-    memberships; subdomain 3 is only ever an extra one, so it owns no
-    interior node.  Each node pair sharing a subdomain is coupled with
+    Four to seven subdomains, the last of which owns no interior node: it is
+    only ever an extra membership.  Node 0 lies in subdomains 0, 1, 2 and the
+    last (multiplicity 4).  Every other node has a home subdomain among the
+    others and up to five extra memberships, so it lies in up to six
+    subdomains; node 1 also lies in the last.  Each node has block_dim 1, 2
+    or 3 components.  Each node pair sharing a subdomain is coupled with
     probability 1/2 by a random d x d block; the matrix is symmetric and
     strictly diagonally dominant, hence SPD.
 
@@ -98,14 +100,16 @@ def local_problems(draw, skew=False):
     (nodes 0 and 1 always share one).  Its symmetric part is still SPD, so
     A, A_II and the interface operator are nonsingular.
     """
-    d = draw(st.sampled_from([1, 2]))
+    d = draw(st.sampled_from([1, 2, 3]))
     n = draw(st.integers(6, 14))
-    memberships = [{0, 1, 2}]
+    n_subdomains = draw(st.integers(4, 7))
+    last = n_subdomains - 1
+    memberships = [{0, 1, 2, last}]
     for _ in range(1, n):
-        home = draw(st.integers(0, 2))
-        memberships.append({home} | draw(st.sets(st.integers(0, 3), max_size=2)))
-    memberships[1].add(3)
-    dm = ingest.DecompositionMap.from_memberships(memberships, n_subdomains=4)
+        home = draw(st.integers(0, last - 1))
+        memberships.append({home} | draw(st.sets(st.integers(0, last), max_size=5)))
+    memberships[1].add(last)
+    dm = ingest.DecompositionMap.from_memberships(memberships, n_subdomains=n_subdomains)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dense = np.zeros((n * d, n * d))
     for p in range(n):

@@ -613,6 +613,142 @@ class TestCoarseSpace:
         assert (tmp_path / "sol1.txt").read_bytes() == (tmp_path / "sol2.txt").read_bytes()
 
 
+def reference_coarse_space(state):
+    """The coarse build with greedy colours, as the reference: the same Z, and S Z with colours
+    from `_greedy_colours` over the subdomain x column conflict product.  Returns the coarse
+    space and its colour count."""
+    b = state.blocks
+    dm = state.problem.decomposition
+    d = state.problem.matrix.block_dim
+    classes = state.classes
+    of_node, size = classes.of_node, classes.size
+    moments = np.minimum(np.maximum(size // 12, 1 + (size >= 7)), 4)
+    t = (2 * classes.rank + 1) / size[of_node] - 1
+    n_columns = moments.sum()
+    node, degree = np.nonzero(np.arange(4) < moments[of_node, None])
+    column = (np.cumsum(moments) - moments)[of_node[node]] + degree
+    k = np.arange(d)
+    z = sp.csr_matrix((np.repeat(np.polynomial.legendre.legvander(t, 3)[node, degree], d),
+                       ((node[:, None] * d + k).ravel(), (column[:, None] * d + k).ravel())),
+                      shape=(len(of_node) * d, n_columns * d))
+    ig_z = b.ig @ z
+    home = dm.home[dm.interior_nodes]
+    hit = ig_z.tocoo()
+    reach = sp.csr_matrix((np.ones(hit.nnz, dtype=bool), (home[hit.row // d], hit.col // d)),
+                          shape=(dm.n_subdomains, n_columns))
+    reaching = np.flatnonzero(reach.getnnz(axis=0))
+    colours = np.full(n_columns, -1)
+    colours[reaching] = _greedy_colours(reach[:, reaching].T @ reach[:, reaching])
+    n_colours = colours.max() + 1
+    # each colour's columns summed; a column with no colour is in no right-hand side
+    grouped = np.repeat(colours >= 0, d)
+    indicator = sp.csr_matrix((np.ones(grouped.sum()), flat_block_indices(colours, d)[grouped],
+                               np.concatenate(([0], np.cumsum(grouped)))),
+                              shape=(len(grouped), n_colours * d))
+    x = solver._interior_solves(ig_z @ indicator, state.interior.solve, b.coupled)
+    coupled = b.coupled
+    pairs = reach[home[coupled // d]]
+    per_entry = np.diff(pairs.indptr)
+    vals = x[np.repeat(np.arange(len(coupled)), per_entry)[:, None],
+             colours[pairs.indices][:, None] * d + k].ravel()
+    indptr = np.zeros(len(b.interior_flat) + 1, dtype=np.int64)
+    indptr[coupled + 1] = per_entry * d
+    split = sp.csr_matrix((vals, (pairs.indices[:, None] * d + k).ravel(), np.cumsum(indptr)),
+                          shape=(len(b.interior_flat), z.shape[1]))
+    sz = b.gg @ z - b.gi @ split
+    lu = solver._splu((z.T @ sz).tocsc())
+    return solver.CoarseSpace(z=z, sz_t=sz.T.tocsr(), lu=lu), n_colours
+
+
+def max_columns_reaching(state, z):
+    """Brute force: the most coarse columns whose A_IG z has an entry in one subdomain's interior."""
+    dm = state.problem.decomposition
+    d = state.problem.matrix.block_dim
+    home = dm.home[dm.interior_nodes]
+    hit = (state.blocks.ig @ z).tocoo()
+    reaching = {}
+    for r, c in zip(hit.row.tolist(), hit.col.tolist()):
+        reaching.setdefault(home[r // d], set()).add(c // d)
+    return max(map(len, reaching.values()), default=0)
+
+
+def assert_same_sparse(got, want):
+    got, want = got.tocsr(), want.tocsr()
+    assert got.shape == want.shape
+    for part in ("indptr", "indices", "data"):
+        assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+
+
+def build_counting_coarse_spaces(problem):
+    """`build_coarse_space` and the reference on one problem, each with its interior solves."""
+    state = setup_solver(problem)
+    state.interior = CountingInterior(state.interior)
+    coarse = build_coarse_space(state)
+    solves, state.interior.calls = state.interior.calls, 0
+    want, n_colours = reference_coarse_space(state)
+    assert state.interior.calls == n_colours * problem.matrix.block_dim
+    return state, coarse, solves, want
+
+
+class TestCoarseColours:
+    @pytest.mark.parametrize("make", [
+        lambda: make_problem_2d(129, 129, 16, 16),
+        lambda: make_problem_2d(257, 257, 4, 4),
+        lambda: make_problem_2d(65, 65, 8, 8),
+        lambda: make_problem_voronoi(129, 256, 1),
+        lambda: make_problem_3d(25, 8),
+        lambda: block_problem_2d(33, 4),
+    ], ids=["129x16", "257x4", "65x8", "voronoi-129x256", "3d25x8", "33x4_d2"])
+    def test_matches_greedy_reference_bit_for_bit(self, make):
+        # a column's colour is its rank in each subdomain it reaches: the same S Z, E and
+        # Z as the greedy colours, in as many interior solves as the most columns reaching
+        # one subdomain, and never more than the greedy colours take
+        state, coarse, solves, want = build_counting_coarse_spaces(make())
+        assert_same_sparse(coarse.z, want.z)
+        assert_same_sparse(coarse.sz_t, want.sz_t)
+        for part in ("L", "U"):
+            assert_same_sparse(getattr(coarse.lu, part), getattr(want.lu, part))
+        for part in ("perm_r", "perm_c"):
+            assert np.array_equal(getattr(coarse.lu, part), getattr(want.lu, part))
+        d = state.problem.matrix.block_dim
+        assert solves == d * max_columns_reaching(state, coarse.z) <= state.interior.calls
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=local_problems(), empty=st.booleans())
+    def test_matches_greedy_reference_on_random_partitions(self, problem, empty):
+        # up to 7 subdomains, one without interior, block_dim 1 to 3, and with `empty`
+        # a subdomain without nodes
+        if empty:
+            problem = ProblemInstance(matrix=problem.matrix, rhs=problem.rhs,
+                                      decomposition=with_empty_subdomain(problem.decomposition))
+        state, coarse, solves, want = build_counting_coarse_spaces(problem)
+        assert (coarse.z != want.z).nnz == 0
+        scale = max(abs(want.sz_t).max(), 1e-300)
+        assert abs(coarse.sz_t - want.sz_t).max() <= 1e-14 * scale
+        e, e_want = coarse.z.T @ coarse.sz_t.T, want.z.T @ want.sz_t.T
+        assert abs(e - e_want).max() <= 1e-14 * max(abs(e_want).max(), 1e-300)
+        d = problem.matrix.block_dim
+        assert solves == d * max_columns_reaching(state, coarse.z) <= state.interior.calls
+
+    def test_fewer_solves_than_greedy_on_voronoi_65(self):
+        # 65^2 over 64 Voronoi cells, seed 4: the greedy colours took 15 solves, the
+        # ranks take 13, the most columns that reach one subdomain
+        state, coarse, solves, want = build_counting_coarse_spaces(make_problem_voronoi(65, 64, 4))
+        assert (solves, state.interior.calls) == (13, 15)
+        assert abs(coarse.sz_t - want.sz_t).max() == 0.0
+
+    def test_no_greedy_search(self, monkeypatch):
+        # the ranks need no conflict graph: only the probe colours greedily
+        calls = []
+        real = solver._greedy_colours
+        monkeypatch.setattr(solver, "_greedy_colours", lambda c: calls.append(c) or real(c))
+        state = setup_solver(make_problem_2d(33, 33, 4, 4))
+        build_coarse_space(state)
+        assert calls == []
+        probe_interface_operator(state)
+        assert len(calls) == 1
+
+
 def reference_greedy_colours(conflict):
     """The greedy first-fit colouring over full rows, written with numpy slices, as the reference."""
     conflict = conflict.tocsr()
@@ -641,9 +777,9 @@ def assert_rows_hold_distinct_colours(pattern, colours):
 def assert_colourings_match_reference(problem):
     """Greedy colours of interface classes and of interface nodes.
 
-    Classes of one colour share no subdomain (the coarse space colours its columns
-    by the subdomains they reach, which lie in their class's set); probe nodes of
-    one colour share no row of the probe pattern.
+    Classes of one colour share no subdomain (the conflict graph of the greedy
+    coarse colours that `reference_coarse_space` keeps); probe nodes of one colour
+    share no row of the probe pattern.
     """
     state = setup_solver(problem)
     for pattern in (class_incidence(problem.decomposition), probe_pattern(state)):
@@ -907,6 +1043,28 @@ class TestPreconditioner:
         assert state.interior.calls > 0
         _, report = solve_dvs(problem, SolveConfig(compare_direct=True))
         assert report.config["preconditioner"] == "probe"
+        assert report.converged and report.relative_error_vs_direct <= 1e-8
+
+    def test_round_off_entries_keep_the_lumped_m(self):
+        # +-1e-17 between diagonal neighbours that share a subdomain is round-off, not a
+        # coupling: 65^2 / 8x8 takes the lumped M with it, as without it
+        n = 65
+        base = make_problem_2d(n, n, 8, 8, rhs=np.random.default_rng(5).standard_normal(n * n))
+        y, x = np.divmod(np.arange(n * n), n)
+        p = np.concatenate([np.flatnonzero((y < n - 1) & (x < n - 1)),
+                            np.flatnonzero((y < n - 1) & (x > 0))])
+        q = np.concatenate([p[:len(p) // 2] + n + 1, p[len(p) // 2:] + n - 1])
+        shared = base.decomposition.lowest_shared(p, q) >= 0
+        p, q = p[shared], q[shared]
+        tiny = np.random.default_rng(6).choice([-1e-17, 1e-17], len(p))
+        round_off = sp.csr_matrix((np.concatenate([tiny, tiny]),
+                                   (np.concatenate([p, q]), np.concatenate([q, p]))),
+                                  shape=base.matrix.csr.shape)
+        matrix = OriginalMatrix(csr=(base.matrix.csr + round_off).tocsr())
+        assert matrix.symmetric and matrix.csr.nnz == base.matrix.csr.nnz + 2 * len(p)
+        problem = ProblemInstance(matrix=matrix, rhs=base.rhs, decomposition=base.decomposition)
+        _, report = solve_dvs(problem, SolveConfig(compare_direct=True))
+        assert report.config["preconditioner"] == "lumped"
         assert report.converged and report.relative_error_vs_direct <= 1e-8
 
     def test_zero_coupled_diagonal_keeps_the_probe(self, monkeypatch):
