@@ -1,12 +1,15 @@
 """End-to-end solve: block-diagonal interior factorization, projected interface Krylov.
 
 Pipeline: factor the interior block A_II (exactly block-diagonal by
-subdomain under locality) with one sparse LU, condense the right-hand side
-onto the interface, run a Krylov iteration there (CG or GMRES, chosen from
-the matrix), back-substitute the interior values, and check the residual of
-the solution in the original system.  The 2x2 interior/interface slicing
-lives here: `factor_interior` slices A_II and keeps only its factor, and
-`interface_blocks` slices the coupling blocks A_IG, A_GI and A_GG.
+subdomain under locality) with LAPACK's band Cholesky where it is
+positive definite with a narrow band under reverse Cuthill-McKee, and
+otherwise with one sparse LU (see `factor_interior`); condense the
+right-hand side onto the interface, run a Krylov iteration there (CG or
+GMRES, chosen from the matrix), back-substitute the interior values, and
+check the residual of the solution in the original system.  The 2x2
+interior/interface slicing lives here: `factor_interior` slices A_II and
+keeps only its factor, and `interface_blocks` slices the coupling blocks
+A_IG, A_GI and A_GG.
 
 The continuous interface subspace is the image of injection, and under the
 1/m-weighted inner product injection is an isometry.  So a Krylov method on
@@ -24,12 +27,13 @@ each edge and each cross point, the primal space of BDDC and FETI-DP
 component, the indicator of the class, and on a class of 7 nodes or more
 also its first Legendre moments along the class, up to degree 3 (see
 `build_coarse_space`).  The columns are linearly independent, so E = Z' S Z
-is nonsingular wherever S is definite.  E is sparse and is factored by the same
-sparse LU as A_II.  The coarse solve Z E^-1 Z' g is the starting iterate, and
-every search direction is made S-orthogonal to Z.  S Z takes one interior
-right-hand side per colour and component.  A column's colour is its rank
-among the columns whose A_IG z reaches the same interior block, and a column
-that reaches none, such as a 2D cross point, takes none.
+is nonsingular wherever S is definite.  E is sparse and is factored by the
+same sparse LU as a wide-band A_II.  The coarse solve Z E^-1 Z' g is the
+starting iterate, and every search direction is made S-orthogonal to Z.
+S Z takes one interior right-hand side per colour and component.  A
+column's colour is its rank among the columns whose A_IG z reaches the same
+interior block, and a column that reaches none, such as a 2D cross point,
+takes none.
 
 CG is also preconditioned by an M ~ S that is symmetrized, with a diagonal
 entry raised wherever its row is not strictly diagonally dominant, so M is
@@ -42,10 +46,10 @@ A_GG - A_GI diag(A_II)^-1 A_IG, which takes no colouring and no interior
 solve.  Otherwise M is the probe of S on the node pattern of A_GG^k, k = 3
 on long, edge-like classes and 2 otherwise (see `probe_width`).  The probes
 take one right-hand side per colour and component, and every build solves
-in blocks of a few columns per SuperLU call.  The interface classes, Z,
-S Z, the factor of E, the strip factor and M are built only when needed (M
-and the strip only when the coarse solve leaves work) and are
-interface-operator work, timed in `interface_ms`.  The iteration count is
+in blocks of a few columns per call of the interior or strip factor.  The
+interface classes, Z, S Z, the factor of E, the strip factor and M are
+built only when needed (M and the strip only when the coarse solve leaves
+work) and are interface-operator work, timed in `interface_ms`.  The iteration count is
 the number of Krylov steps after the coarse solve, 0 when Z spans the
 interface; the stopping test stays on the true residual.  GMRES, on a
 nonsymmetric or indefinite problem, is neither deflated nor preconditioned.
@@ -62,6 +66,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.polynomial.legendre import legvander
+from scipy.linalg import lapack
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .derived import DerivedSpace, build_derived_space, flat_block_indices, inject, retract
 from .exceptions import ConfigError, ConvergenceError, EdvsError, SingularInteriorError
@@ -140,16 +146,39 @@ def interface_blocks(matrix: OriginalMatrix, dm: DecompositionMap) -> InterfaceB
 
 @dataclass(frozen=True, eq=False)
 class InteriorFactorization:
-    """One sparse LU of the whole interior block A_II."""
+    """The factor of the whole interior block A_II: a band Cholesky or one sparse LU.
 
-    lu: object | None            # None when there are no interior nodes
+    On the band path `band` is LAPACK's lower band storage of the Cholesky
+    factor of A_II[perm][:, perm] (`dpbtrf`), `perm` the reverse
+    Cuthill-McKee order, and `lu` is None.  Otherwise `lu` is SuperLU's
+    factor (`_splu`).  With no interior node all three are None.
+    """
+
+    lu: object | None = None
+    band: np.ndarray | None = None
+    perm: np.ndarray | None = None
+
+    @property
+    def kind(self) -> str | None:
+        """"band", "lu", or None with no interior node: the report's `interior_factor`."""
+        if self.band is not None:
+            return "band"
+        return None if self.lu is None else "lu"
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A_II x = rhs over all interior entries, in sorted interior order.
 
-        `rhs` is one vector or a block of columns; with no interior nodes the
-        result is the empty array of the same shape.
+        `rhs` is one vector or a Fortran-ordered block of columns; with no
+        interior nodes the result is the empty array of the same shape.  On
+        the band path the rows are permuted, solved by `dpbtrs` and permuted
+        back; a block is gathered through its transpose, so it stays in
+        Fortran order and LAPACK takes it without a copy.
         """
+        if self.band is not None:
+            x, _ = lapack.dpbtrs(self.band, rhs.T[..., self.perm].T, lower=1, overwrite_b=1)
+            out = np.empty_like(x)
+            out[self.perm] = x
+            return out
         if self.lu is None:
             return np.zeros(np.shape(rhs))
         return self.lu.solve(rhs)
@@ -157,8 +186,10 @@ class InteriorFactorization:
 
 # SuperLU's panel width, in columns; see `_splu`
 _PANEL_SIZE = 2
-# right-hand sides per SuperLU solve in the coarse-space and probe builds; see
-# `_interior_solves`
+# the widest band, in subdiagonals, that `factor_interior` factors by band Cholesky
+_BAND_MAX = 31
+# right-hand sides per interior or strip solve in the coarse-space and probe
+# builds; see `_interior_solves`
 _SOLVE_BLOCK = 4
 # a class of s interface nodes gets min(max(s // 12, 1 + (s >= 7)), 4) coarse
 # columns per component; see `build_coarse_space`
@@ -195,24 +226,90 @@ def _splu(csc: sp.csc_matrix):
                      panel_size=_PANEL_SIZE, options=dict(SymmetricMode=True))
 
 
+def _rcm(a: sp.csr_matrix) -> tuple[np.ndarray, sp.coo_matrix]:
+    """The reverse Cuthill-McKee order of symmetric `a`, and a[perm][:, perm] as COO.
+
+    The COO keeps the entries of `a` in place, duplicates unsummed, with
+    their rows and columns renumbered; its bandwidth is the largest row - col.
+    """
+    perm = reverse_cuthill_mckee(a, symmetric_mode=True)
+    place = np.empty_like(perm)
+    place[perm] = np.arange(len(perm), dtype=perm.dtype)
+    coo = a.tocoo()
+    coo.row, coo.col = place[coo.row], place[coo.col]
+    return perm, coo
+
+
+def _band_cholesky(a: sp.csr_matrix, home: np.ndarray) -> InteriorFactorization | None:
+    """LAPACK's band Cholesky of symmetric A_II in reverse Cuthill-McKee order, or None.
+
+    None when the bandwidth exceeds `_BAND_MAX`, or when `dpbtrf` meets a
+    pivot that is not positive (A_II indefinite or singular).  `home` is
+    the home subdomain of each row.  The largest subdomain's block is
+    ordered first, on its own, so a band too wide for it is rejected for a
+    fraction of the ordering of all of A_II.
+    """
+    own = np.flatnonzero(home == np.bincount(home).argmax())
+    _, block = _rcm(a[np.ix_(own, own)])
+    if (block.row - block.col).max(initial=0) > _BAND_MAX:
+        return None
+    perm, p = _rcm(a)
+    low = p.row >= p.col
+    offset, col = (p.row - p.col)[low], p.col[low]
+    k = offset.max(initial=0)
+    if k > _BAND_MAX:
+        return None
+    # lower band storage: ab[i - j, j] = A[i, j]; the dense copy sums duplicates
+    ab = sp.coo_matrix((p.data[low], (offset, col)), shape=(k + 1, a.shape[0]))
+    band, info = lapack.dpbtrf(ab.toarray(order="F"), lower=1, overwrite_ab=1)
+    return InteriorFactorization(band=band, perm=perm) if info == 0 else None
+
+
 def factor_interior(matrix: OriginalMatrix, dm: DecompositionMap) -> InteriorFactorization:
-    """Slice the interior block A_II and factor it with a single sparse LU.
+    """Slice the interior block A_II and factor it: a band Cholesky, or a single sparse LU.
 
     Assumes locality has been validated, which makes A_II exactly
     block-diagonal across subdomains, so the fill stays inside the blocks.
+    A symmetric A_II is ordered by reverse Cuthill-McKee (Cuthill & McKee
+    1969); under it a box block's bandwidth is about the box width.  When
+    that bandwidth is at most `_BAND_MAX` = 31, A_II is factored in band
+    storage by LAPACK's `dpbtrf` (George & Liu 1981), which below its block
+    size of 32 runs unblocked BLAS-2 code.  A nonsymmetric A_II, a wider
+    band, or a pivot that is not positive takes SuperLU (`_splu`).
+
+    SuperLU pays a cost per column that the tiny blocks of many small
+    subdomains never earn back.  On a shared 2-vCPU host with one BLAS
+    thread, 129^2 / 16x16 boxes (bandwidth 8) factored in 3.4 against
+    6.5-7.2 ms, and 65^2 / 8x8 in 1.4 against 2.9 ms.  At 257^2 / 4x4
+    (bandwidth 64) the band factored in about half the time too, 49-53
+    against 96-103 ms, but it loses the gain in the solves: `dpbtrs`
+    solves a block one column at a time with BLAS-2 code, so a 4-column
+    solve took 18-19 against 8.5-9.3 ms, the coarse build solves 16
+    columns, and the whole solve took 259 against 260 ms (medians of 7),
+    while the band held 33.5 MB against 24 MB for SuperLU's L+U.  Under
+    the cap the solves can still lose what the factor gains where a block
+    fills little of its band: on 257^2 over 256 Voronoi cells (bandwidth
+    29) a single solve took 4.9 against 2.3 ms, and the whole solve 287
+    against 254 ms (ROADMAP.md, item D).
+
     When A_II is singular, the blocks (interior nodes grouped by home) are
-    factored one at a time, the same way, to name the subdomain.
+    factored one at a time with SuperLU, to name the subdomain.
     """
     d = matrix.block_dim
     interior = dm.interior_nodes
+    home = dm.home[interior]
     i_flat = flat_block_indices(interior, d)
-    csc = matrix.csr[np.ix_(i_flat, i_flat)].tocsc()
-    if csc.shape[0] == 0:
-        return InteriorFactorization(lu=None)
+    a_ii = matrix.csr[np.ix_(i_flat, i_flat)]
+    if a_ii.shape[0] == 0:
+        return InteriorFactorization()
+    if matrix.symmetric:
+        band = _band_cholesky(a_ii, np.repeat(home, d))
+        if band is not None:
+            return band
+    a_ii = a_ii.tocsc()     # the CSR copy is freed before SuperLU's peak
     try:
-        lu = _splu(csc)
+        lu = _splu(a_ii)
     except RuntimeError as fused_error:
-        home = dm.home[interior]
         for a in np.unique(home).tolist():
             own = flat_block_indices(interior[home == a], d)
             try:
@@ -291,14 +388,18 @@ def _interior_solves(rhs: sp.spmatrix, solve, kept: np.ndarray) -> np.ndarray:
     strip's entries for the probe's strip factor (see `_probe_solves`).
     `kept` places the interior entries A_GI reads, `blocks.coupled`, among
     the rows `solve` returns.  At most `_SOLVE_BLOCK` columns are densified
-    at a time, in Fortran order, and each block is one SuperLU solve.  On a
-    shared 2-vCPU host with one BLAS thread, one 4-column solve took
-    0.54-0.58 of the time of four single ones at 129^2 / 16x16 boxes and
-    0.41-0.65 at 257^2 / 4x4, over two measurements.  A block solve differs
-    from single solves at most in round-off and is the same for every BLAS
-    thread count.  Wider blocks save little more, and each is a dense array
-    with a row per entry solved for: 9-column blocks raised the peak memory
-    of a 129^2 / 16x16 solve by 8-10%.
+    at a time, in Fortran order, and each block is one call of `solve`.
+    Blocks help SuperLU only.  On a shared 2-vCPU host with one BLAS
+    thread, one 4-column SuperLU solve took 0.54-0.58 of the time of four
+    single ones at 129^2 / 16x16 boxes and 0.41-0.65 at 257^2 / 4x4, over
+    two measurements.  The band Cholesky's `dpbtrs` solves a block one
+    column at a time, and a 4-column block took about 4.3 single solves at
+    129^2 / 16x16 (2.0 against 0.47 ms), a loss too small to give the band
+    path a loop of its own.  A block solve differs from single solves at
+    most in round-off and is the same for every BLAS thread count.  Wider
+    blocks save little more, and each is a dense array with a row per entry
+    solved for: 9-column blocks raised the peak memory of a 129^2 / 16x16
+    solve by 8-10%.
     """
     rhs = rhs.tocsc()
     x = np.empty((len(kept), rhs.shape[1]))
@@ -454,7 +555,7 @@ def build_coarse_space(state: SolverState) -> CoarseSpace:
 
     S Z = A_GG Z - A_GI A_II^-1 A_IG Z takes one interior right-hand side
     per colour and component, not one per column, and these go through
-    SuperLU in blocks (`_interior_solves`).  A column reaches only the
+    the interior factor in blocks (`_interior_solves`).  A column reaches only the
     interior blocks in which A_IG z has an entry, and A_II is block-diagonal
     by subdomain, so a column's colour in each subdomain it reaches is its
     rank among the columns that reach it, and a coupled entry's split reads
@@ -656,8 +757,8 @@ def probe_interface_operator(state: SolverState) -> sp.csr_matrix:
     of that colour, plus the entries of S_W off the pattern in that row and
     colour.  S_W is the Schur complement of the `interior_strip` W when that
     strip is small, and S itself otherwise (see `_probe_solves`).  One
-    right-hand side per colour and component, put through SuperLU in blocks
-    (`_interior_solves`): on box partitions 9 colours at k = 2 and 13 at
+    right-hand side per colour and component, put through the factor in
+    blocks (`_interior_solves`): on box partitions 9 colours at k = 2 and 13 at
     k = 3.  `build_preconditioner` takes this probe on the strip, and off it
     only where the lumped Schur complement does not fit: couplings of more
     than one scale, or a coupled interior diagonal entry that is not
@@ -1003,8 +1104,9 @@ def solve_dvs(problem: ProblemInstance, cfg: SolveConfig | None = None):
             report.iterations = len(e.residual_history)
             u_gamma = e.best if e.best is not None else np.zeros(len(b.gamma_flat))
             failure = e
-    report.config = dict(tol=cfg.tol, max_iters=cfg.max_iters, krylov=state.krylov,
-                         preconditioner=state.preconditioner, compare_direct=cfg.compare_direct)
+    report.config = dict(tol=cfg.tol, max_iters=cfg.max_iters, interior_factor=state.interior.kind,
+                         krylov=state.krylov, preconditioner=state.preconditioner,
+                         compare_direct=cfg.compare_direct)
 
     with _phase("back_substitute", report.timings):
         u_hat = np.empty(problem.rhs.shape)

@@ -120,6 +120,24 @@ class TestSolve:
         assert report["iterations"] == golden["iterations"]
         assert report["converged"] == golden["converged"]
 
+    def test_band_factor_is_thread_deterministic(self, tmp_path, monkeypatch):
+        # the interior blocks of 65^2 / 8x8 (bandwidth 8) take LAPACK's band Cholesky,
+        # whose solution file and residual history must not depend on the BLAS threads
+        result = run_cli(["generate", "poisson2d", "--nx", "65", "--ny", "65", "--boxes", "8x8",
+                          "--out-prefix", "det"], cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        reports = []
+        for threads in ("1", "4"):
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                monkeypatch.setenv(var, threads)
+            result = run_cli(["solve", "--matrix", "det.mtx", "--partition", "det.part",
+                              "--rhs", "det.rhs", "--out", f"sol{threads}.txt"], cwd=tmp_path)
+            assert result.returncode == 0, result.stderr
+            reports.append(json.loads(result.stdout))
+        assert [r["config"]["interior_factor"] for r in reports] == ["band", "band"]
+        assert reports[0]["residual_history"] == reports[1]["residual_history"]
+        assert (tmp_path / "sol1.txt").read_bytes() == (tmp_path / "sol4.txt").read_bytes()
+
     def test_general_storage_of_symmetric_matrix_solves_with_cg(self, tmp_path):
         # symmetry is read from the values, so the storage qualifier changes nothing
         result = run_cli(["generate", "poisson2d", "--nx", "9", "--ny", "9", "--boxes", "3x3",

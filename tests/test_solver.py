@@ -7,7 +7,7 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -140,19 +140,30 @@ class TestFactorInterior:
 
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_ordering_reduces_fill_whatever_the_storage_flag(self, tmp_path, symmetric):
-        # a symmetric matrix read from either storage is symmetric and gets the same factor
-        problem = make_problem_2d(65, 65, 4, 4)
+        # a symmetric matrix read from either storage is symmetric and gets the same
+        # factor: SuperLU's at 97^2 / 2x2 (bandwidth 48), whose minimum-degree ordering
+        # fills less than SuperLU's default, and the band Cholesky at 65^2 / 4x4 (16)
         storage = "symmetric" if symmetric else "general"
-        path = tmp_path / f"{storage}.mtx"
-        scipy.io.mmwrite(path, problem.matrix.csr, symmetry=storage)
-        assert path.read_text().startswith(f"%%MatrixMarket matrix coordinate real {storage}\n")
-        matrix = load_matrix(path)
-        assert matrix.symmetric
-        fact = factor_interior(matrix, problem.decomposition)
-        ref = factor_interior(problem.matrix, problem.decomposition)
+
+        def factors(n, boxes):
+            problem = make_problem_2d(n, n, boxes, boxes)
+            path = tmp_path / f"{storage}{n}.mtx"
+            scipy.io.mmwrite(path, problem.matrix.csr, symmetry=storage)
+            assert path.read_text().startswith(f"%%MatrixMarket matrix coordinate real {storage}\n")
+            matrix = load_matrix(path)
+            assert matrix.symmetric
+            dm = problem.decomposition
+            return matrix, dm, factor_interior(matrix, dm), factor_interior(problem.matrix, dm)
+
+        matrix, dm, fact, ref = factors(97, 2)
+        assert fact.kind == ref.kind == "lu"
         assert fact.lu.L.nnz + fact.lu.U.nnz == ref.lu.L.nnz + ref.lu.U.nnz
-        default = spla.splu(interior_block(matrix, problem.decomposition).tocsc())
+        default = spla.splu(interior_block(matrix, dm).tocsc())
         assert fact.lu.L.nnz + fact.lu.U.nnz < default.L.nnz + default.U.nnz
+        _, _, fact, ref = factors(65, 4)
+        assert fact.kind == ref.kind == "band"
+        assert fact.band.tobytes() == ref.band.tobytes()
+        assert np.array_equal(fact.perm, ref.perm)
 
     @pytest.mark.parametrize("upper", [1.0, 2.0])
     def test_factor_keeps_partial_pivoting(self, upper):
@@ -169,6 +180,55 @@ class TestFactorInterior:
         rhs = np.random.default_rng(3).standard_normal(12)
         expected = np.linalg.solve(a_ii, rhs)
         assert np.linalg.norm(fact.solve(rhs) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_indefinite_symmetric_block_falls_back_to_superlu(self):
+        # the symmetric case of test_factor_keeps_partial_pivoting: dpbtrf's second
+        # pivot is 1e-12 - 1e12 < 0, so SuperLU factors A_II with its pivoting
+        n = 13
+        diagonal = np.full(n, 1e-12)
+        diagonal[6] = 4.0
+        matrix = OriginalMatrix(csr=sp.diags([np.ones(n - 1), diagonal, np.ones(n - 1)],
+                                             [-1, 0, 1]).tocsr())
+        dm = DecompositionMap.from_memberships([(0,)] * 6 + [(0, 1)] + [(1,)] * 6)
+        assert matrix.symmetric
+        assert factor_interior(matrix, dm).kind == "lu"
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=local_problems(), empty=st.booleans())
+    def test_band_solve_inverts_interior_block(self, problem, empty):
+        # an interior of at most 32 rows has a bandwidth of at most `_BAND_MAX` = 31
+        dm = with_empty_subdomain(problem.decomposition) if empty else problem.decomposition
+        a_ii = interior_block(problem.matrix, dm)
+        assume(0 < a_ii.shape[0] <= 32)
+        fact = factor_interior(problem.matrix, dm)
+        assert fact.kind == "band"
+        x = np.random.default_rng(11).standard_normal((a_ii.shape[0], 3))
+        one = x[:, 0]
+        assert np.linalg.norm(fact.solve(a_ii @ one) - one) <= 1e-12 * np.linalg.norm(one)
+        block = fact.solve(np.asfortranarray(a_ii @ x))
+        assert np.linalg.norm(block - x) <= 1e-12 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("n, boxes, kind", [(129, 16, "band"), (97, 2, "lu")])
+    def test_band_follows_the_bandwidth(self, monkeypatch, n, boxes, kind):
+        # under reverse Cuthill-McKee the box interiors of 129^2 / 16x16 (up to 8 x 8) have
+        # bandwidth 8, and the 48 x 48 ones of 97^2 / 2x2 about 48: there only the largest
+        # box is ordered before SuperLU takes over
+        problem = make_problem_2d(n, n, boxes, boxes)
+        ordered = []
+        rcm = solver.reverse_cuthill_mckee
+        monkeypatch.setattr(solver, "reverse_cuthill_mckee",
+                            lambda a, **kw: ordered.append(a.shape[0]) or rcm(a, **kw))
+        fact = factor_interior(problem.matrix, problem.decomposition)
+        assert fact.kind == kind
+        a_ii = interior_block(problem.matrix, problem.decomposition)
+        block = (n // boxes) ** 2   # a corner box's interior, the largest
+        if kind == "band":
+            assert ordered == [block, a_ii.shape[0]]
+            assert fact.band.shape == (9, a_ii.shape[0])
+        else:
+            assert ordered == [block]
+        rhs = np.random.default_rng(2).standard_normal(a_ii.shape[0])
+        assert np.linalg.norm(a_ii @ fact.solve(rhs) - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
     def test_convection_keeps_the_fill_of_the_symmetric_ordering(self):
         # at SuperLU's default diag_pivot_thresh of 1.0, c = 5 had 498k L+U
@@ -1434,10 +1494,12 @@ class TestSolveDvs:
             "verify_ms", "total_ms",
         ])
         assert sorted(payload["config"].keys()) == sorted([
-            "tol", "max_iters", "krylov", "preconditioner", "compare_direct",
+            "tol", "max_iters", "interior_factor", "krylov", "preconditioner", "compare_direct",
         ])
         # the coarse space spans the one-node interface, so no M is built
         assert payload["config"]["preconditioner"] is None
+        # two 2-node interior blocks: bandwidth 1
+        assert payload["config"]["interior_factor"] == "band"
 
 
 class TestVerifySolution:
